@@ -180,7 +180,8 @@ def density_continuity_check(assignment, cutoff: float, bandwidth: float) -> dic
     """Count-balance test around the cutoff (bunching detection).
 
     Compares observation counts in (c - bw, c) vs [c, c + bw) with an
-    exact two-sided binomial test against a 0.5 split.
+    exact two-sided binomial test against a 0.5 split. ``ratio`` (right
+    over left) is None when the left window is empty.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
@@ -194,7 +195,7 @@ def density_continuity_check(assignment, cutoff: float, bandwidth: float) -> dic
     return {
         "left_count": left,
         "right_count": right,
-        "ratio": right / left if left else math.inf,
+        "ratio": right / left if left else None,
         "p_value": p_value,
         "pass": p_value >= 0.05,
     }

@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-import time
 
 import numpy as np
 
@@ -93,6 +92,10 @@ def _floats(values, name, path) -> np.ndarray:
             raise SchemaError(
                 f"{path}: non-numeric value {v!r} in column {name!r} (row {i + 2})"
             ) from None
+        if not np.isfinite(out[i]):
+            raise SchemaError(
+                f"{path}: non-finite value {v!r} in column {name!r} (row {i + 2})"
+            )
     return out
 
 
@@ -134,10 +137,12 @@ def _sampler_config(args) -> SamplerConfig:
 
 
 def _write_json(path, payload) -> None:
-    payload = {"schema": SCHEMA, **payload}
+    # serialised before the file is opened, so a value strict JSON cannot
+    # hold leaves no partial file behind
+    text = json.dumps({"schema": SCHEMA, **payload}, indent=2, default=_jsonable,
+                      allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_jsonable)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _jsonable(obj):
@@ -159,7 +164,6 @@ def _converged(posterior) -> bool:
 def _base_summary(args, posterior, ate) -> dict:
     return {
         "subcommand": args.command,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "seed": args.seed,
         "converged": _converged(posterior),
         "ate": ate.to_dict(),
@@ -184,7 +188,7 @@ def _cmd_bpsm(args) -> int:
     priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scales=args.beta_scale,
                        noise_prior=None)
     posterior = bpsm.fit_propensity(data, priors, _sampler_config(args))
-    scores = bpsm.propensity_scores(posterior, data, n_uncertainty_draws=25, seed=args.seed)
+    scores = bpsm.propensity_scores(posterior, data)
     if args.match == "nn":
         match = bpsm.nn_match_1to1(scores)
     else:

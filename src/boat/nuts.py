@@ -10,15 +10,13 @@ throughout; parameters are expected to be O(1) (scaled covariates).
 from __future__ import annotations
 
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, InitializationError
-from .prob_core import ModelSpec, log_posterior, log_posterior_grad, param_names
+from .prob_core import ModelSpec, log_posterior, log_posterior_grad, prepare
 
 __all__ = [
     "SamplerConfig",
@@ -47,12 +45,17 @@ class Target:
 
 
 def _model_functions(model, data):
-    """(logp_fn, grad_fn, param_names) for a ModelSpec or a bare Target."""
+    """(logp_fn, grad_fn, param_names) for a ModelSpec or a bare Target.
+
+    A ModelSpec's data are prepared once here, so each evaluation reads
+    the reduced form instead of rebuilding the design from ``data``.
+    """
     if isinstance(model, Target):
         return model.logp, model.grad, list(model.names)
-    logp_fn = lambda q: log_posterior(model, data, q)
-    grad_fn = lambda q: log_posterior_grad(model, data, q)
-    return logp_fn, grad_fn, param_names(model, data)
+    prepared = prepare(model, data)
+    logp_fn = lambda q: log_posterior(model, prepared, q)
+    grad_fn = lambda q: log_posterior_grad(model, prepared, q)
+    return logp_fn, grad_fn, list(prepared.names)
 
 
 @dataclass(frozen=True)
@@ -301,10 +304,8 @@ def _find_reasonable_step(q, logp_fn, grad_fn, rng) -> float:
     return step
 
 
-def _run_chain(model, data, cfg: SamplerConfig, chain_seed):
+def _run_chain(logp_fn, grad_fn, dim, cfg: SamplerConfig, chain_seed):
     rng = np.random.Generator(np.random.PCG64(chain_seed))
-    logp_fn, grad_fn, names = _model_functions(model, data)
-    dim = len(names)
 
     q = None
     for _ in range(100):
@@ -341,26 +342,19 @@ def sample(model: ModelSpec, data, priors=None, cfg: SamplerConfig = None) -> Po
     """Run independent NUTS chains and attach split R-hat diagnostics.
 
     Deterministic given (seed, chains, config, data): each chain draws its
-    own RNG stream spawned from cfg.seed, so execution order and
-    concurrency do not affect the output.
+    own RNG stream spawned from cfg.seed. The chains run one after another
+    on one model preparation.
     """
     if cfg is None:
         cfg = SamplerConfig()
     if priors is not None and isinstance(model, ModelSpec):
         model = ModelSpec(model.family, priors, model.cutoff)
 
+    logp_fn, grad_fn, names = _model_functions(model, data)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
-    max_workers = min(cfg.chains, int(os.environ.get("BOAT_THREADS", "1") or 1))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(
-                pool.map(lambda s: _run_chain(model, data, cfg, s), seeds)
-            )
-    else:
-        results = [_run_chain(model, data, cfg, s) for s in seeds]
+    results = [_run_chain(logp_fn, grad_fn, len(names), cfg, s) for s in seeds]
 
     draws = np.stack([kept for kept, _ in results])
-    _, _, names = _model_functions(model, data)
     out = PosteriorSamples(param_names=names, draws=draws)
     for j, name in enumerate(names):
         out.diagnostics[name] = {"rhat": r_hat([draws[c, :, j] for c in range(cfg.chains)])}

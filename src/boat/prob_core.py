@@ -4,6 +4,21 @@ Everything downstream (the sampler, the estimators) treats a model as an
 opaque pair of callables: log_posterior and log_posterior_grad over an
 unconstrained parameter vector. The noise scale, when present, is stored
 as log(sigma) with the matching Jacobian term included in the posterior.
+
+A fit first reduces its data once with :func:`prepare`. For the two
+linear-Gaussian families (``did_linear``, ``rdd_linear``) the likelihood
+depends on the data only through a few sufficient statistics. With the
+design D = [1, C] (n rows), a least-squares solution b_hat and its
+residual r0 = y - D b_hat, the normal equations give D^T r0 = 0, so for
+any coefficient vector b
+
+    RSS(b) = ||y - D b||^2 = RSS0 + (b - b_hat)^T G (b - b_hat),
+    D^T (y - D b) = -G (b - b_hat),
+
+with G = D^T D and RSS0 = ||r0||^2. An evaluation then costs O(k^2)
+whatever n is. RSS0 is summed row by row once, so this form keeps the
+accuracy that y^T y - 2 b^T D^T y + b^T G b loses when y has a large
+offset. b_hat from ``lstsq`` also covers a rank-deficient D.
 """
 
 from __future__ import annotations
@@ -21,6 +36,8 @@ __all__ = [
     "normal_logpdf",
     "bernoulli_logpmf",
     "half_cauchy_logpdf",
+    "PreparedModel",
+    "prepare",
     "param_names",
     "param_dim",
     "log_posterior",
@@ -131,129 +148,180 @@ def half_cauchy_logpdf(x, scale):
     return val if val.ndim else float(val)
 
 
-def _predictor_matrix(model: ModelSpec, data) -> tuple[np.ndarray, list[str]]:
-    """Columns multiplying the coefficient block, and their names."""
-    n = len(data.y) if data.y is not None else data.X.shape[0]
+def _predictor_matrix(model: ModelSpec, data) -> np.ndarray:
+    """Columns multiplying the coefficient block (C), in the order of
+    :func:`param_names`, one row per observation."""
     if model.family == "logistic":
-        return np.asarray(data.X, dtype=float), [f"beta_{c}" for c in data.covariate_names]
+        return np.asarray(data.X, dtype=float)
+    t = np.asarray(data.t, dtype=float)
     if model.family == "did_linear":
-        t = np.asarray(data.t, dtype=float)
         tau = np.asarray(data.tau, dtype=float)
         cols = [t, tau, t * tau]
-        names = ["theta_treat", "theta_period", "theta_interaction"]
         if data.X is not None and data.X.shape[1] > 0:
             cols.extend(np.asarray(data.X, dtype=float).T)
-            names.extend(f"beta_{c}" for c in data.covariate_names)
-        return np.column_stack(cols), names
-    # rdd_linear
-    xc = np.asarray(data.assignment, dtype=float) - model.cutoff
-    t = np.asarray(data.t, dtype=float)
-    cols = [xc, t, xc * t]
-    names = ["beta_slope", "beta_treat", "beta_slope_treat"]
-    if data.z is not None:
-        cols.append(np.asarray(data.z, dtype=float))
-        names.append("beta_z")
-    return np.column_stack(cols) if n else np.empty((0, len(cols))), names
+    else:
+        xc = np.asarray(data.assignment, dtype=float) - model.cutoff
+        cols = [xc, t, xc * t]
+        if data.z is not None:
+            cols.append(np.asarray(data.z, dtype=float))
+    return np.column_stack(cols)
+
+
+@dataclass(eq=False)
+class PreparedModel:
+    """A model with its data reduced once to what an evaluation reads.
+
+    ``logistic`` keeps the predictor matrix ``X`` and ``t`` as floats. The
+    linear families keep no per-row array: the row count ``n``, the Gram
+    matrix ``gram`` = D^T D of D = [1, C], a least-squares solution
+    ``b_hat`` and its residual sum of squares ``rss0``.
+    """
+
+    model: ModelSpec
+    names: tuple[str, ...]
+    prior_scales: np.ndarray  # alpha first, then one per coefficient
+    n: int
+    X: np.ndarray | None = None
+    t: np.ndarray | None = None
+    gram: np.ndarray | None = None
+    b_hat: np.ndarray | None = None
+    rss0: float = 0.0
+
+    def __post_init__(self):
+        self.prior_var = self.prior_scales**2
+        self.prior_lognorm = -0.5 * np.log(2.0 * np.pi) - np.log(self.prior_scales)
+        noise = None if self.model.family == "logistic" else self.model.priors.noise_prior
+        self.noise_scale = None if noise is None else noise[1]
+        if self.noise_scale is not None:
+            self.noise_lognorm = np.log(2.0) - np.log(np.pi) - np.log(self.noise_scale)
+
+
+def prepare(model: ModelSpec, data) -> PreparedModel:
+    """Reduce ``data`` to a :class:`PreparedModel`: one O(n k^2) pass."""
+    names = tuple(param_names(model, data))
+    n_coef = len(names) - (1 if model.family == "logistic" else 2)
+    scales = np.concatenate(
+        ([model.priors.alpha_scale], model.priors.beta_scale_vector(n_coef))
+    )
+    C = _predictor_matrix(model, data)
+    if model.family == "logistic":
+        t = np.asarray(data.t)
+        if not np.all((t == 0) | (t == 1)):
+            raise ValueError("t must be 0 or 1")
+        if not np.all(np.isfinite(C)):
+            raise ContractError("model data contain non-finite values")
+        return PreparedModel(model, names, scales, C.shape[0], X=C, t=t.astype(float))
+    y = np.asarray(data.y, dtype=float)
+    D = np.column_stack([np.ones(len(y)), C])
+    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(y))):
+        raise ContractError("model data contain non-finite values")
+    b_hat = np.linalg.lstsq(D, y, rcond=None)[0]
+    resid = y - D @ b_hat
+    return PreparedModel(
+        model, names, scales, len(y),
+        gram=D.T @ D, b_hat=b_hat, rss0=float(resid @ resid),
+    )
+
+
+def _as_prepared(model: ModelSpec, data) -> PreparedModel:
+    if not isinstance(data, PreparedModel):
+        return prepare(model, data)
+    if data.model is not model and data.model != model:
+        raise ContractError("data were prepared for a different model")
+    return data
 
 
 def param_names(model: ModelSpec, data) -> list[str]:
     """Names of the unconstrained parameter vector, in storage order."""
-    _, coef_names = _predictor_matrix(model, data)
-    names = ["alpha"] + coef_names
-    if model.family != "logistic":
-        names.append("log_sigma")
-    return names
+    if isinstance(data, PreparedModel):
+        return list(data.names)
+    if model.family == "logistic":
+        return ["alpha"] + [f"beta_{c}" for c in data.covariate_names]
+    if model.family == "did_linear":
+        names = ["alpha", "theta_treat", "theta_period", "theta_interaction"]
+        if data.X is not None and data.X.shape[1] > 0:
+            names.extend(f"beta_{c}" for c in data.covariate_names)
+    else:
+        names = ["alpha", "beta_slope", "beta_treat", "beta_slope_treat"]
+        if data.z is not None:
+            names.append("beta_z")
+    return names + ["log_sigma"]
 
 
 def param_dim(model: ModelSpec, data) -> int:
     return len(param_names(model, data))
 
 
-def _unpack(model: ModelSpec, data, params):
+def _split(prep: PreparedModel, params):
+    """(coefficients with alpha first, log_sigma or None)."""
     params = np.asarray(params, dtype=float)
-    C, _ = _predictor_matrix(model, data)
-    k = C.shape[1]
-    has_noise = model.family != "logistic"
-    expected = 1 + k + (1 if has_noise else 0)
-    if params.shape != (expected,):
+    if params.shape != (len(prep.names),):
         raise ContractError(
-            f"parameter vector has shape {params.shape}, expected ({expected},)"
+            f"parameter vector has shape {params.shape}, expected ({len(prep.names)},)"
         )
-    alpha = params[0]
-    coefs = params[1 : 1 + k]
-    log_sigma = params[-1] if has_noise else None
-    return C, alpha, coefs, log_sigma
+    if prep.model.family == "logistic":
+        return params, None
+    return params[:-1], params[-1]
 
 
-def _prior_logdensity(model: ModelSpec, alpha, coefs, log_sigma) -> float:
-    pri = model.priors
-    scales = pri.beta_scale_vector(len(coefs))
-    total = normal_logpdf(alpha, 0.0, pri.alpha_scale)
-    total += float(np.sum(normal_logpdf(coefs, 0.0, scales)))
-    if log_sigma is not None and pri.noise_prior is not None:
+def _prior_logdensity(prep: PreparedModel, b, log_sigma) -> float:
+    lp = prep.prior_lognorm - b**2 / (2.0 * prep.prior_var)
+    total = lp[0] + float(np.sum(lp[1:]))
+    if log_sigma is not None and prep.noise_scale is not None:
         sigma = np.exp(log_sigma)
-        # log-Jacobian of the sigma = exp(log_sigma) transform
-        total += half_cauchy_logpdf(sigma, pri.noise_prior[1]) + log_sigma
+        # half-Cauchy on sigma plus the log-Jacobian of sigma = exp(log_sigma)
+        total += prep.noise_lognorm - np.log1p((sigma / prep.noise_scale) ** 2) + log_sigma
     return float(total)
 
 
 def log_posterior(model: ModelSpec, data, params) -> float:
     """Unnormalised log-posterior in the unconstrained parameterization.
 
-    Returns -inf for points the floating-point likelihood cannot
-    represent (e.g. exp(log_sigma) overflows); the sampler treats those
-    as divergent leapfrog states.
+    ``data`` is raw data or a :class:`PreparedModel`; raw data are
+    prepared on the spot. Returns -inf for points the floating-point
+    likelihood cannot represent (e.g. exp(log_sigma) overflows); the
+    sampler treats those as divergent leapfrog states.
     """
-    C, alpha, coefs, log_sigma = _unpack(model, data, params)
+    prep = _as_prepared(model, data)
+    b, log_sigma = _split(prep, params)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        total = _prior_logdensity(model, alpha, coefs, log_sigma)
-        if C.shape[0] == 0:
+        total = _prior_logdensity(prep, b, log_sigma)
+        if prep.n == 0:
             return total if np.isfinite(total) else -np.inf
-        eta = alpha + C @ coefs
-        if model.family == "logistic":
-            total += float(np.sum(bernoulli_logpmf(data.t, sigmoid(eta))))
+        if log_sigma is None:
+            p = np.clip(sigmoid(b[0] + prep.X @ b[1:]), PROB_FLOOR, 1.0 - PROB_FLOOR)
+            total += float(np.sum(prep.t * np.log(p) + (1.0 - prep.t) * np.log1p(-p)))
         else:
             sigma = np.exp(log_sigma)
             if not np.isfinite(sigma) or sigma == 0.0:
                 return -np.inf
-            total += float(
-                np.sum(normal_logpdf(np.asarray(data.y, dtype=float), eta, sigma))
-            )
+            d = b - prep.b_hat
+            rss = prep.rss0 + float(d @ (prep.gram @ d))
+            total += -prep.n * (0.5 * np.log(2.0 * np.pi) + log_sigma) - rss / (2.0 * sigma**2)
     return total if np.isfinite(total) else -np.inf
 
 
 def log_posterior_grad(model: ModelSpec, data, params) -> np.ndarray:
     """Analytic gradient of :func:`log_posterior`."""
-    C, alpha, coefs, log_sigma = _unpack(model, data, params)
+    prep = _as_prepared(model, data)
+    b, log_sigma = _split(prep, params)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _grad_impl(model, data, C, alpha, coefs, log_sigma)
-
-
-def _grad_impl(model, data, C, alpha, coefs, log_sigma):
-    pri = model.priors
-    scales = pri.beta_scale_vector(len(coefs))
-    g_alpha = -alpha / pri.alpha_scale**2
-    g_coefs = -coefs / scales**2
-    g_ls = 0.0
-    if log_sigma is not None and pri.noise_prior is not None:
+        g = -b / prep.prior_var
+        if log_sigma is None:
+            if prep.n:
+                resid = prep.t - sigmoid(b[0] + prep.X @ b[1:])
+                g[0] += float(np.sum(resid))
+                g[1:] += prep.X.T @ resid
+            return g
         sigma = np.exp(log_sigma)
-        s = pri.noise_prior[1]
-        # d/dlog_sigma [half-cauchy log-density + Jacobian]
-        g_ls += 1.0 - 2.0 * sigma**2 / (s**2 + sigma**2)
-
-    n = C.shape[0]
-    if n:
-        eta = alpha + C @ coefs
-        if model.family == "logistic":
-            resid = np.asarray(data.t, dtype=float) - sigmoid(eta)
-            g_alpha += float(np.sum(resid))
-            g_coefs = g_coefs + C.T @ resid
-        else:
-            sigma = np.exp(log_sigma)
-            resid = np.asarray(data.y, dtype=float) - eta
-            g_alpha += float(np.sum(resid)) / sigma**2
-            g_coefs = g_coefs + (C.T @ resid) / sigma**2
-            g_ls += -n + float(np.sum(resid**2)) / sigma**2
-
-    grad = np.concatenate(([g_alpha], g_coefs, [g_ls] if log_sigma is not None else []))
-    return grad
+        g_ls = 0.0
+        if prep.noise_scale is not None:
+            s = prep.noise_scale
+            # d/dlog_sigma [half-cauchy log-density + Jacobian]
+            g_ls += 1.0 - 2.0 * sigma**2 / (s**2 + sigma**2)
+        if prep.n:
+            d = b - prep.b_hat
+            gd = prep.gram @ d
+            g -= gd / sigma**2
+            g_ls += -prep.n + (prep.rss0 + float(d @ gd)) / sigma**2
+        return np.append(g, g_ls)

@@ -163,3 +163,4 @@ class TestDensityContinuity:
         x = np.full(6, 60.1)
         r = density_continuity_check(x, cutoff=60.0, bandwidth=1.0)
         assert r["p_value"] == pytest.approx(2 / 64, rel=1e-9)
+        assert r["ratio"] is None

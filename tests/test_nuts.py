@@ -122,14 +122,6 @@ class TestSample:
         b = sample(STD_GAUSSIAN_2D, None, cfg=cfg)
         np.testing.assert_array_equal(a.draws, b.draws)
 
-    def test_thread_count_does_not_change_draws(self, monkeypatch):
-        cfg = SamplerConfig(draws=300, warmup=100, chains=4, seed=5)
-        monkeypatch.setenv("BOAT_THREADS", "1")
-        a = sample(STD_GAUSSIAN_2D, None, cfg=cfg)
-        monkeypatch.setenv("BOAT_THREADS", "4")
-        b = sample(STD_GAUSSIAN_2D, None, cfg=cfg)
-        np.testing.assert_array_equal(a.draws, b.draws)
-
     def test_2d_gaussian_covariance(self):
         cfg = SamplerConfig(draws=2000, warmup=200, chains=4, seed=42)
         out = sample(STD_GAUSSIAN_2D, None, cfg=cfg)

@@ -1,12 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from boat import nuts, prob_core
 from boat.errors import ContractError
 from boat.pipeline import DesignMatrix
 from boat.prob_core import (
     ModelSpec,
+    PreparedModel,
     PriorSpec,
     bernoulli_logpmf,
     half_cauchy_logpdf,
@@ -14,6 +17,8 @@ from boat.prob_core import (
     log_posterior_grad,
     normal_logpdf,
     param_dim,
+    param_names,
+    prepare,
     sigmoid,
 )
 
@@ -220,3 +225,140 @@ class TestPriorSpec:
             PriorSpec(beta_scales=(1.0, -1.0))
         with pytest.raises(ValueError):
             PriorSpec(noise_prior=("half_cauchy", 0.0))
+
+
+def design_rows(model, dm):
+    """Rows of D = [1, C] for the linear families, built one row at a time."""
+    rows = []
+    for i in range(len(dm.y)):
+        t = float(dm.t[i])
+        if model.family == "did_linear":
+            tau = float(dm.tau[i])
+            rows.append([1.0, t, tau, t * tau, *map(float, dm.X[i])])
+        else:
+            xc = float(dm.assignment[i]) - model.cutoff
+            rows.append([1.0, xc, t, xc * t] + ([float(dm.z[i])] if dm.z is not None else []))
+    return rows
+
+
+def rowwise_reference(model, dm, params):
+    """Log-posterior and gradient from per-row residuals, summed exactly."""
+    b, log_sigma = [float(v) for v in params[:-1]], float(params[-1])
+    rows = design_rows(model, dm)
+    resid = [Fraction(float(y)) - sum(Fraction(c) * Fraction(bj) for c, bj in zip(row, b))
+             for row, y in zip(rows, dm.y)]
+    rss = float(sum(r * r for r in resid))
+    score = np.array([float(sum((Fraction(row[j]) * r for row, r in zip(rows, resid)),
+                                Fraction(0))) for j in range(len(b))])
+    pri = model.priors
+    scales = np.concatenate(([pri.alpha_scale], pri.beta_scale_vector(len(b) - 1)))
+    n, sigma = len(rows), math.exp(log_sigma)
+    s = pri.noise_prior[1]
+    logp = (sum(normal_logpdf(bj, 0.0, sj) for bj, sj in zip(b, scales))
+            + half_cauchy_logpdf(sigma, s) + log_sigma
+            + sum(-0.5 * math.log(2 * math.pi) - log_sigma - float(r * r) / (2 * sigma**2)
+                  for r in resid))
+    grad_b = score / sigma**2 - np.array(b) / scales**2
+    grad_ls = -n + rss / sigma**2 + 1.0 - 2.0 * sigma**2 / (s**2 + sigma**2)
+    return logp, np.append(grad_b, grad_ls)
+
+
+def linear_case(family, case, n=40, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, (n, 2))
+    if case == "constant_covariate":
+        X[:, 1] = 0.5
+    dm = DesignMatrix(
+        unit_ids=np.arange(n), X=X, t=rng.integers(0, 2, n), y=rng.normal(0, 1, n),
+        covariate_names=["a", "b"], tau=rng.integers(0, 2, n).astype(float),
+        assignment=rng.uniform(-2, 2, n) + 60.0,
+        z=rng.uniform(0, 1, n) if case != "constant_covariate" else np.full(n, 0.5),
+    )
+    model = ModelSpec(family, PriorSpec(alpha_scale=1.0, beta_scales=0.7), cutoff=60.0)
+    if case == "large_offset":
+        dm.y = 1e6 + dm.y
+    elif case == "near_exact_fit":
+        D = np.array(design_rows(model, dm))
+        dm.y = D @ rng.uniform(-1, 1, D.shape[1]) + 1e-9 * rng.normal(size=n)
+    return model, dm
+
+
+@pytest.mark.parametrize("family", ["did_linear", "rdd_linear"])
+@pytest.mark.parametrize("case", ["plain", "large_offset", "near_exact_fit",
+                                  "constant_covariate", "empty"])
+def test_prepared_linear_matches_rowwise_reference(family, case):
+    model, dm = linear_case(family, case, n=0 if case == "empty" else 40)
+    prep = prepare(model, dm)
+    assert isinstance(prep, PreparedModel)
+    d = len(prep.names)
+    center = np.zeros(d - 1)
+    if len(dm.y):
+        center = np.linalg.lstsq(np.array(design_rows(model, dm)), dm.y, rcond=None)[0]
+    rng = np.random.default_rng(1)
+    points = [rng.uniform(-2, 2, d) for _ in range(4)]
+    points += [np.append(center + rng.normal(0, 0.05, d - 1), rng.normal(-1, 0.5))
+               for _ in range(4)]
+    for p in points:
+        ref_logp, ref_grad = rowwise_reference(model, dm, p)
+        logp, grad = log_posterior(model, prep, p), log_posterior_grad(model, prep, p)
+        assert logp == pytest.approx(ref_logp, rel=1e-9)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-9,
+                                   atol=1e-9 * np.max(np.abs(ref_grad)))
+        assert log_posterior(model, dm, p) == logp
+        np.testing.assert_array_equal(log_posterior_grad(model, dm, p), grad)
+
+
+@pytest.mark.parametrize("family", ["logistic", "did_linear", "rdd_linear"])
+def test_prepared_model_contents(family):
+    model, dm = make_data(family, n=500)
+    prep = prepare(model, dm)
+    assert param_names(model, prep) == param_names(model, dm) == list(prep.names)
+    if family == "logistic":
+        assert prep.X.shape == (500, 3) and prep.t.dtype == float
+    else:
+        arrays = [v for v in vars(prep).values() if isinstance(v, np.ndarray)]
+        assert max(a.size for a in arrays) <= len(prep.names) ** 2
+
+
+def test_prepared_for_other_model_is_rejected():
+    model, dm = make_data("did_linear")
+    prep = prepare(model, dm)
+    other = ModelSpec("did_linear", PriorSpec(alpha_scale=2.0, beta_scales=0.7))
+    with pytest.raises(ContractError):
+        log_posterior(other, prep, np.zeros(len(prep.names)))
+
+
+def test_non_finite_data_rejected():
+    model, dm = make_data("rdd_linear")
+    dm.y[3] = np.nan
+    with pytest.raises(ContractError):
+        prepare(model, dm)
+
+
+@pytest.mark.parametrize("family", ["logistic", "did_linear", "rdd_linear"])
+def test_sample_routes_every_evaluation_through_nuts_module_functions(family, monkeypatch):
+    model, dm = make_data(family, n=40)
+    splits, calls = [0], {"log_posterior": 0, "log_posterior_grad": 0}
+    split = prob_core._split
+
+    def counting_split(prep, params):
+        splits[0] += 1
+        return split(prep, params)
+
+    def counted(name):
+        fn = getattr(nuts, name)
+
+        def wrapper(*args):
+            assert isinstance(args[0], ModelSpec) and args[0].family == family
+            assert isinstance(args[1], PreparedModel)
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(prob_core, "_split", counting_split)
+    for name in calls:
+        monkeypatch.setattr(nuts, name, counted(name))
+    nuts.sample(model, dm, cfg=nuts.SamplerConfig(draws=30, warmup=10, chains=2, seed=0))
+    assert calls["log_posterior"] > 0 and calls["log_posterior_grad"] > 0
+    assert calls["log_posterior"] + calls["log_posterior_grad"] == splits[0]
