@@ -1,7 +1,8 @@
 """Sample a correlated 2-D Gaussian with the built-in NUTS sampler.
 
 Shows the raw sampler API: define a log density and its gradient, run a
-few chains, and read the convergence diagnostics.
+few chains, and read the convergence diagnostics and the per-chain
+sampler statistics (the metric each chain adapted in warm-up).
 """
 
 import numpy as np
@@ -33,5 +34,10 @@ for name, stats in summarize(post).items():
 
 print("\nempirical covariance of the draws:")
 print(np.cov(pooled.T).round(3))
+print("\nper chain: step size, adapted metric diagonal, leapfrog steps per draw, E-BFMI")
+kept = cfg.draws - cfg.warmup
+for c, st in enumerate(post.chain_stats):
+    print(f"  chain {c}: {st.step_size:.3f}  {np.round(st.metric_diag, 3)}"
+          f"  {st.leapfrog_steps / kept:.1f}  {st.e_bfmi:.2f}")
 print(f"\ndivergences per chain: {post.diagnostics['_divergences']}")
 print(f"warnings: {post.warnings or 'none'}")

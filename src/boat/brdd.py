@@ -83,10 +83,13 @@ def fit_rdd(
     """Posterior over (alpha, slopes, treatment gap, z coefficient, log sigma).
 
     Internally the regression runs on min-max-scaled y and a standardized
-    centered assignment, where the default priors are sized and the
-    sampler's identity mass matrix is well conditioned. The returned
-    draws are transformed back to the raw coordinates; the scaled-space
-    metadata is kept in diagnostics["_scaling"].
+    centered assignment. The rescaling is kept because the default priors
+    (and the sampler's U(-2, 2) inits) are sized in those units; it is no
+    longer needed for conditioning, since the sampler adapts a dense
+    metric to the correlated intercept, slopes and gap during warm-up.
+    The returned draws are transformed back to the raw coordinates; the
+    scaled-space metadata is kept in diagnostics["_scaling"], and
+    ``chain_stats`` stays in the scaled coordinates.
     """
     t = data.t
     if not np.any(t == 1) or not np.any(t == 0):

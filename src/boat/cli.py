@@ -2,16 +2,18 @@
 decision-flowchart advisor.
 
 Every subcommand writes its artifacts into --out and nothing else:
-summary.json (posterior summaries, R-hat, effect estimate), draws.csv,
-report.json (assumption checks), plot_data.csv, and matches.csv for the
-matching workflow. Failures exit nonzero with an error JSON on stderr.
-All JSON outputs carry "schema": "boat/1".
+summary.json (posterior summaries, R-hat, effect estimate, per-chain
+sampler statistics), draws.csv, report.json (assumption checks),
+plot_data.csv, and matches.csv for the matching workflow. Failures exit
+nonzero with an error JSON on stderr. All JSON outputs carry
+"schema": "boat/1".
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -153,21 +155,23 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _converged(posterior) -> bool:
+def _converged(posterior_summary) -> bool:
+    """Every R-hat below 1.1; a null (non-finite) R-hat is not converged."""
     return all(
-        d["rhat"] < 1.1
-        for k, d in posterior.diagnostics.items()
-        if isinstance(d, dict) and "rhat" in d
+        rec["rhat"] is not None and rec["rhat"] < 1.1
+        for rec in posterior_summary.values()
     )
 
 
 def _base_summary(args, posterior, ate) -> dict:
+    posterior_summary = summarize(posterior)
     return {
         "subcommand": args.command,
         "seed": args.seed,
-        "converged": _converged(posterior),
+        "converged": _converged(posterior_summary),
         "ate": ate.to_dict(),
-        "posterior": summarize(posterior),
+        "posterior": posterior_summary,
+        "sampler": [dataclasses.asdict(stats) for stats in posterior.chain_stats],
     }
 
 

@@ -1,10 +1,20 @@
 """No-U-Turn sampler: leapfrog dynamics, dual-averaging step-size
-adaptation, multi-chain driver, and split-chain R-hat diagnostics.
+adaptation, windowed dense-metric adaptation, multi-chain driver, and
+split-chain R-hat diagnostics.
 
 The tree construction follows the multinomial variant: candidate states
 are weighted by their joint density exp(logp - |p|^2/2) and the proposal
-is drawn progressively as subtrees are merged. Identity mass matrix
-throughout; parameters are expected to be O(1) (scaled covariates).
+is drawn progressively as subtrees are merged.
+
+Warm-up follows Stan's windows (Hoffman & Gelman, arXiv:1111.4246;
+Betancourt, arXiv:1701.02434): an initial buffer with the identity
+metric, slow windows of doubling length, then a terminal buffer. At the
+end of each slow window a chain estimates the covariance Sigma of its own
+draws in that window, shrunk toward its diagonal, and from then on samples
+z with q = L z, L = chol(Sigma): the tree sees z -> logp(L z) and
+z -> L^T grad logp(L z), which is HMC on q with the dense mass matrix
+Sigma^-1. The step size is found again and dual averaging restarts after
+each window.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from .prob_core import ModelSpec, log_posterior, log_posterior_grad, prepare
 __all__ = [
     "SamplerConfig",
     "PosteriorSamples",
+    "ChainStats",
     "Target",
     "leapfrog",
     "nuts_step",
@@ -32,6 +43,17 @@ __all__ = [
 ]
 
 DIVERGENCE_THRESHOLD = 1000.0
+
+# Warm-up window lengths (iterations), as in Stan for warm-up >= 150.
+INIT_BUFFER = 75
+TERM_BUFFER = 50
+BASE_WINDOW = 25
+# Stan regularises a window's covariance as (n S + 5e-3 I) / (n + 5). Here
+# the 1e-3 is relative to S's own diagonal, so the regularisation does not
+# depend on parameter scale: with posterior SDs near 0.005 an absolute 1e-3
+# would swamp S.
+SHRINK_DRAWS = 5
+SHRINK_WEIGHT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -84,6 +106,27 @@ class SamplerConfig:
             raise ValueError("max_tree_depth must be >= 1")
 
 
+@dataclass(frozen=True)
+class ChainStats:
+    """Sampler statistics of one chain over its post-warm-up transitions.
+
+    ``step_size`` and ``metric_diag`` (the diagonal of the adapted
+    covariance metric, ones when no window ran) are in the coordinates the
+    sampler saw. ``tree_depths[d]`` counts transitions of tree depth d;
+    ``saturated`` counts those that reached ``max_tree_depth``. ``e_bfmi``
+    is None when the energies do not vary.
+    """
+
+    step_size: float
+    metric_diag: tuple
+    leapfrog_steps: int
+    tree_depths: tuple
+    saturated: int
+    mean_accept: float
+    divergences: int
+    e_bfmi: float | None
+
+
 @dataclass
 class PosteriorSamples:
     """Post-warm-up draws organised as [chain][iteration][parameter]."""
@@ -92,6 +135,7 @@ class PosteriorSamples:
     draws: np.ndarray
     diagnostics: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    chain_stats: list[ChainStats] = field(default_factory=list)
 
     @property
     def n_chains(self) -> int:
@@ -109,17 +153,17 @@ class PosteriorSamples:
         np.savetxt(path, flat, delimiter=",", header=header, comments="")
 
     def summary_json(self, path) -> None:
+        """Write :func:`summarize` as strict JSON (a non-finite R-hat is null)."""
+        text = json.dumps(summarize(self), indent=2, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(summarize(self), fh, indent=2)
+            fh.write(text)
 
 
 def leapfrog(position, momentum, step, grad_fn):
     """One leapfrog step: half-kick, drift, half-kick. Time-reversible."""
     q = np.asarray(position, dtype=float)
     p = np.asarray(momentum, dtype=float)
-    p = p + 0.5 * step * np.asarray(grad_fn(q), dtype=float)
-    q = q + step * p
-    p = p + 0.5 * step * np.asarray(grad_fn(q), dtype=float)
+    q, p, _ = _leapfrog_cached(q, p, np.asarray(grad_fn(q), dtype=float), step, grad_fn)
     return q, p
 
 
@@ -189,7 +233,8 @@ def _is_turning(q_minus, p_minus, q_plus, p_plus) -> bool:
 
 
 def _nuts_transition(q0, logp0, grad0, step, rng, logp_fn, grad_fn, max_tree_depth):
-    """One NUTS transition; returns (q, logp, grad, accept_stat, depth, diverged)."""
+    """One NUTS transition; returns (q, logp, grad, accept_stat, depth,
+    diverged, leapfrog steps, Hamiltonian at the start)."""
     p0 = rng.standard_normal(q0.shape[0])
     logw0 = logp0 - 0.5 * float(p0 @ p0)
     tree = _Tree(logp_fn, grad_fn, step, logw0, rng)
@@ -220,11 +265,12 @@ def _nuts_transition(q0, logp0, grad0, step, rng, logp_fn, grad_fn, max_tree_dep
             break
 
     accept_stat = tree.accept_sum / max(tree.n_leaves, 1)
+    stats = (accept_stat, depth, tree.diverged, tree.n_leaves, -logw0)
     if prop is q0:
-        return q0, logp0, grad0, accept_stat, depth, tree.diverged
+        return (q0, logp0, grad0, *stats)
     logp = logp_fn(prop)
     grad = np.asarray(grad_fn(prop), dtype=float)
-    return prop, logp, grad, accept_stat, depth, tree.diverged
+    return (prop, logp, grad, *stats)
 
 
 def nuts_step(current, step_size, rng, model: ModelSpec, data, max_tree_depth=10):
@@ -233,7 +279,7 @@ def nuts_step(current, step_size, rng, model: ModelSpec, data, max_tree_depth=10
         raise ValueError("step_size must be > 0")
     logp_fn, grad_fn, _ = _model_functions(model, data)
     q0 = np.asarray(current, dtype=float)
-    q, _, _, accept_stat, depth, diverged = _nuts_transition(
+    q, _, _, accept_stat, depth, diverged, _, _ = _nuts_transition(
         q0, logp_fn(q0), np.asarray(grad_fn(q0), dtype=float),
         step_size, rng, logp_fn, grad_fn, max_tree_depth,
     )
@@ -304,6 +350,65 @@ def _find_reasonable_step(q, logp_fn, grad_fn, rng) -> float:
     return step
 
 
+def _adaptation_windows(warmup: int) -> list[tuple[int, int]]:
+    """Slow warm-up windows ``[start, stop)`` in which the metric is estimated.
+
+    The initial buffer, min(INIT_BUFFER, warmup // 2), lets a chain started
+    from the overdispersed U(-2, 2) inits reach the typical set before its
+    draws are used; Stan's 15% of a short warm-up leaves that transient in
+    the first window. The terminal buffer, min(TERM_BUFFER, warmup // 10),
+    tunes the step size for the last metric. Windows double from
+    BASE_WINDOW, and one whose successor would overrun the terminal buffer
+    takes the rest. There is no window when less than BASE_WINDOW fits.
+    """
+    start = min(INIT_BUFFER, warmup // 2)
+    end = warmup - min(TERM_BUFFER, warmup // 10)
+    windows = []
+    size = BASE_WINDOW
+    while end - start >= size:
+        stop = start + size
+        if end - stop < 2 * size:
+            stop = end
+        windows.append((start, stop))
+        start, size = stop, 2 * size
+    return windows
+
+
+def _dense_metric(window_draws):
+    """Cholesky factor of the draws' covariance shrunk toward its diagonal;
+    None when that is not positive definite (a parameter that never moved)."""
+    n = window_draws.shape[0]
+    centred = window_draws - window_draws.mean(axis=0)
+    cov = centred.T @ centred / (n - 1)
+    ridge = SHRINK_DRAWS * SHRINK_WEIGHT * np.diag(np.diag(cov))
+    shrunk = (n * cov + ridge) / (n + SHRINK_DRAWS)
+    try:
+        return np.linalg.cholesky(shrunk)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _linear_map(logp_fn, grad_fn, chol):
+    """Log-density and gradient in z for q = chol @ z."""
+
+    def logp(z):
+        return logp_fn(chol @ z)
+
+    def grad(z):
+        return chol.T @ np.asarray(grad_fn(chol @ z), dtype=float)
+
+    return logp, grad
+
+
+def _e_bfmi(energy) -> float | None:
+    """Energy Bayesian fraction of missing information (Betancourt,
+    arXiv:1604.00695) from each transition's starting Hamiltonian."""
+    var = float(np.var(energy))
+    if var == 0.0:
+        return None
+    return float(np.mean(np.diff(energy) ** 2) / var)
+
+
 def _run_chain(logp_fn, grad_fn, dim, cfg: SamplerConfig, chain_seed):
     rng = np.random.Generator(np.random.PCG64(chain_seed))
 
@@ -316,26 +421,65 @@ def _run_chain(logp_fn, grad_fn, dim, cfg: SamplerConfig, chain_seed):
     if q is None:
         raise InitializationError("no finite initial log-posterior found")
 
-    step = _find_reasonable_step(q, logp_fn, grad_fn, rng)
+    # the chain moves in z; until the first window closes, z = q
+    chol = None
+    f, g = logp_fn, grad_fn
+    z = q
+    step = _find_reasonable_step(z, f, g, rng)
     da = DualAveraging(step, cfg.target_accept)
-    logp = logp_fn(q)
-    grad = np.asarray(grad_fn(q), dtype=float)
+    logp = f(z)
+    grad = np.asarray(g(z), dtype=float)
 
-    kept = np.empty((cfg.draws - cfg.warmup, dim))
-    divergences = 0
+    window_start = {stop: start for start, stop in _adaptation_windows(cfg.warmup)}
+    warm = np.empty((cfg.warmup, dim))
+    n_kept = cfg.draws - cfg.warmup
+    kept = np.empty((n_kept, dim))
+    accept = np.empty(n_kept)
+    energy = np.empty(n_kept)
+    depths = np.zeros(cfg.max_tree_depth + 1, dtype=int)
+    leapfrogs = divergences = 0
     for i in range(cfg.draws):
-        q, logp, grad, accept_stat, _, diverged = _nuts_transition(
-            q, logp, grad, step, rng, logp_fn, grad_fn, cfg.max_tree_depth
+        z, logp, grad, accept_stat, depth, diverged, n_leaves, h0 = _nuts_transition(
+            z, logp, grad, step, rng, f, g, cfg.max_tree_depth
         )
+        q = z if chol is None else chol @ z
         if i < cfg.warmup:
+            warm[i] = q
             step = da.update(accept_stat)
+            if i + 1 in window_start:
+                new_chol = _dense_metric(warm[window_start[i + 1] : i + 1])
+                if new_chol is not None:
+                    chol = new_chol
+                    f, g = _linear_map(logp_fn, grad_fn, chol)
+                    z = np.linalg.solve(chol, q)
+                    logp = f(z)
+                    grad = np.asarray(g(z), dtype=float)
+                    step = _find_reasonable_step(z, f, g, rng)
+                    # Stan's restart: shrink toward 10x the found step
+                    da = DualAveraging(10.0 * step, cfg.target_accept)
             if i == cfg.warmup - 1:
                 step = da.finalized_step()
         else:
-            kept[i - cfg.warmup] = q
-            if diverged:
-                divergences += 1
-    return kept, divergences
+            j = i - cfg.warmup
+            kept[j] = q
+            accept[j] = accept_stat
+            energy[j] = h0
+            depths[depth] += 1
+            leapfrogs += n_leaves
+            divergences += diverged
+
+    metric_diag = np.ones(dim) if chol is None else np.sum(chol**2, axis=1)
+    stats = ChainStats(
+        step_size=float(step),
+        metric_diag=tuple(float(v) for v in metric_diag),
+        leapfrog_steps=int(leapfrogs),
+        tree_depths=tuple(int(c) for c in depths),
+        saturated=int(depths[cfg.max_tree_depth]),
+        mean_accept=float(np.mean(accept)),
+        divergences=int(divergences),
+        e_bfmi=_e_bfmi(energy),
+    )
+    return kept, stats
 
 
 def sample(model: ModelSpec, data, priors=None, cfg: SamplerConfig = None) -> PosteriorSamples:
@@ -343,7 +487,9 @@ def sample(model: ModelSpec, data, priors=None, cfg: SamplerConfig = None) -> Po
 
     Deterministic given (seed, chains, config, data): each chain draws its
     own RNG stream spawned from cfg.seed. The chains run one after another
-    on one model preparation.
+    on one model preparation. Each chain adapts its own step size and
+    dense metric during warm-up; ``chain_stats`` reports them with the
+    post-warm-up tree statistics.
     """
     if cfg is None:
         cfg = SamplerConfig()
@@ -355,16 +501,25 @@ def sample(model: ModelSpec, data, priors=None, cfg: SamplerConfig = None) -> Po
     results = [_run_chain(logp_fn, grad_fn, len(names), cfg, s) for s in seeds]
 
     draws = np.stack([kept for kept, _ in results])
-    out = PosteriorSamples(param_names=names, draws=draws)
+    out = PosteriorSamples(
+        param_names=names, draws=draws, chain_stats=[stats for _, stats in results]
+    )
     for j, name in enumerate(names):
         out.diagnostics[name] = {"rhat": r_hat([draws[c, :, j] for c in range(cfg.chains)])}
     kept_n = cfg.draws - cfg.warmup
-    for c, (_, ndiv) in enumerate(results):
-        if kept_n and ndiv / kept_n > 0.10:
+    for c, stats in enumerate(out.chain_stats):
+        if stats.divergences / kept_n > 0.10:
             out.warnings.append(
-                f"chain {c}: {ndiv}/{kept_n} divergent transitions (>10%)"
+                f"chain {c}: {stats.divergences}/{kept_n} divergent transitions (>10%)"
             )
-    out.diagnostics["_divergences"] = [ndiv for _, ndiv in results]
+        if stats.saturated / kept_n > 0.10:
+            out.warnings.append(
+                f"chain {c}: {stats.saturated}/{kept_n} transitions reached "
+                f"max_tree_depth={cfg.max_tree_depth} (>10%)"
+            )
+        if stats.e_bfmi is not None and stats.e_bfmi < 0.3:
+            out.warnings.append(f"chain {c}: E-BFMI {stats.e_bfmi:.3f} (<0.3)")
+    out.diagnostics["_divergences"] = [stats.divergences for stats in out.chain_stats]
     return out
 
 
@@ -395,17 +550,19 @@ def r_hat(chains_of_draws) -> float:
 
 
 def summarize(samples: PosteriorSamples) -> dict:
-    """Pooled mean/std and central 94% interval per parameter."""
+    """Pooled mean/std, central 94% interval and R-hat per parameter; a
+    non-finite R-hat (zero within-chain variance) is None."""
     if samples.draws.size == 0:
         raise ValueError("empty samples")
     out = {}
     for j, name in enumerate(samples.param_names):
         pooled = samples.draws[:, :, j].reshape(-1)
         lo, hi = np.quantile(pooled, [0.03, 0.97])
+        rhat = samples.diagnostics.get(name, {}).get("rhat")
         out[name] = {
             "mean": float(np.mean(pooled)),
             "std": float(np.std(pooled)),
             "interval_94": [float(lo), float(hi)],
-            "rhat": samples.diagnostics.get(name, {}).get("rhat"),
+            "rhat": rhat if rhat is None or np.isfinite(rhat) else None,
         }
     return out

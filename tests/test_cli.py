@@ -10,6 +10,7 @@ from boat.cli import (
     RECOMMEND_OUT_OF_SCOPE,
     RECOMMEND_RANDOMISE,
     RECOMMEND_STRATIFY,
+    _converged,
     advise,
     main,
 )
@@ -20,6 +21,13 @@ FAST = ["--draws", "400", "--warmup", "100", "--chains", "2", "--seed", "0"]
 def run(argv, capsys=None):
     code = main(argv)
     return code
+
+
+class TestConverged:
+    def test_null_rhat_is_not_converged(self):
+        assert _converged({"a": {"rhat": 1.0}, "b": {"rhat": 1.05}})
+        assert not _converged({"a": {"rhat": 1.0}, "b": {"rhat": None}})
+        assert not _converged({"a": {"rhat": 1.2}})
 
 
 class TestAdvise:
@@ -134,6 +142,14 @@ class TestBpsmCommand:
         assert summary["subcommand"] == "bpsm"
         assert summary["ate"]["estimand"] == "ate_psm"
         assert set(summary["posterior"]) == {"alpha", "beta_x1", "beta_x2"}
+        assert len(summary["sampler"]) == 2
+        for chain in summary["sampler"]:
+            assert set(chain) == {
+                "step_size", "metric_diag", "leapfrog_steps", "tree_depths",
+                "saturated", "mean_accept", "divergences", "e_bfmi",
+            }
+            assert len(chain["metric_diag"]) == 3
+            assert sum(chain["tree_depths"]) == 300
         report = json.loads((out / "report.json").read_text())
         n_treated = sum(
             1 for line in data.read_text().splitlines()[1:]
