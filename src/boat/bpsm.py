@@ -4,11 +4,20 @@ Fits the logistic propensity model with the NUTS sampler, computes scores
 at the posterior mean (with optional per-draw scores for uncertainty
 bands), matches control to treated units greedily, and estimates the
 matched treatment effect.
+
+Greedy matching goes through treated units by descending score, ties to
+the lower unit id, and gives each the unused control at the smallest
+float64 ``abs(s_t - s_c)``, equal distances to the lower control id; with
+a caliper, a unit whose nearest control lies beyond it stays unmatched.
+The controls are sorted once and each treated score is bisected into
+them, with path-compressed "next available" links skipping used controls,
+so a matching takes O((n_t + n_c) log n_c) time, not O(n_t n_c).
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +59,7 @@ class PropensityScores:
         self.treated = np.asarray(self.treated).astype(bool)
         if not (len(self.unit_ids) == len(self.mean_score) == len(self.treated)):
             raise ContractError("inconsistent lengths in PropensityScores")
-        if np.any(self.mean_score <= 0) or np.any(self.mean_score >= 1):
+        if not np.all((self.mean_score > 0) & (self.mean_score < 1)):  # NaN too
             raise ContractError("propensity scores must be strictly in (0, 1)")
 
     @property
@@ -134,41 +143,93 @@ def propensity_scores(
     )
 
 
+def _find(links, k):
+    """Root of ``k`` in a "next available" forest, halving the path walked."""
+    while links[k] != k:
+        links[k] = links[links[k]]
+        k = links[k]
+    return k
+
+
 def _greedy_match(scores: PropensityScores, caliper: float | None):
     """Greedy nearest-control matching without replacement.
 
-    Treated units are processed in descending score order (ties broken by
-    lower unit id); each takes its closest unused control, with equal
-    distances also broken by lower control id.
+    Treated units are processed in descending score order, ties to the
+    lower unit id. Each takes the unused control at the smallest
+    ``abs(s_t - s_c)`` as rounded in float64; equal distances go to the
+    lower control id, whether the tie is between a control on each side
+    or between same-side scores whose rounded distances coincide. With a
+    caliper, a treated unit whose nearest control lies beyond it stays
+    unmatched and no farther control is tried.
+
+    The controls are sorted by (score, unit id) once, so every run of
+    equal scores is ordered by id. Two path-compressed link arrays
+    (Tarjan, JACM 22:215, 1975) find the next unused control at or right
+    of a sorted position and at or left of it; using a control links past
+    it. A treated score is bisected into the order: the first unused
+    control at or right of it is the lowest-id one of its run, and the
+    lowest-id unused control of the nearest run on the left is found by
+    jumping to that run's start, so runs of tied scores are never walked.
+    Further runs are visited only while their rounded distance equals the
+    nearest one. That makes O((n_t + n_c) log n_c) time, for n_t treated
+    and n_c controls, plus one step per extra run at a tied distance,
+    which needs scores within a rounding unit of each other.
     """
     treated_idx = np.where(scores.treated)[0]
     control_idx = np.where(~scores.treated)[0]
     if treated_idx.size == 0 or control_idx.size == 0:
         raise ContractError("both groups must be non-empty")
 
-    order = sorted(
-        treated_idx, key=lambda i: (-scores.mean_score[i], scores.unit_ids[i])
-    )
-    available = set(control_idx.tolist())
+    ids = scores.unit_ids
+    score = scores.mean_score.tolist()
+    uid = ids.tolist()
+    controls = sorted(control_idx.tolist(), key=lambda j: (score[j], uid[j]))
+    c_score = [score[j] for j in controls]
+    c_uid = [uid[j] for j in controls]
+    n = len(controls)
+    # [run_start[k], run_end[k]) is the run of scores equal to c_score[k]
+    run_start, run_end = [0] * n, [n] * n
+    for k in range(1, n):
+        run_start[k] = run_start[k - 1] if c_score[k] == c_score[k - 1] else k
+    for k in range(n - 2, -1, -1):
+        run_end[k] = run_end[k + 1] if c_score[k] == c_score[k + 1] else k + 1
+    # _find(right, k): first unused position >= k, or n.
+    # _find(left, k + 1) - 1: last unused position <= k, or -1.
+    right = list(range(n + 1))
+    left = list(range(n + 1))
+
+    order = sorted(treated_idx.tolist(), key=lambda i: (-score[i], uid[i]))
     pairs, unmatched = [], []
     for i in order:
-        best = min(
-            available,
-            key=lambda j: (
-                abs(scores.mean_score[i] - scores.mean_score[j]),
-                scores.unit_ids[j],
-            ),
-            default=None,
-        )
-        if best is None:
-            unmatched.append(scores.unit_ids[i])
+        s = score[i]
+        pos = bisect_left(c_score, s)  # a run start: c_score[pos - 1] < s
+        best = dist = None
+        k = _find(right, pos)
+        if k < n:
+            best, dist = k, abs(s - c_score[k])
+            k = _find(right, run_end[k])
+            while k < n and abs(s - c_score[k]) == dist:
+                if c_uid[k] < c_uid[best]:
+                    best = k
+                k = _find(right, run_end[k])
+        k = _find(left, pos) - 1
+        if k >= 0 and (best is None or abs(s - c_score[k]) <= dist):
+            d = abs(s - c_score[k])
+            cand = _find(right, run_start[k])
+            k = _find(left, run_start[k]) - 1
+            while k >= 0 and abs(s - c_score[k]) == d:
+                lowest = _find(right, run_start[k])
+                if c_uid[lowest] < c_uid[cand]:
+                    cand = lowest
+                k = _find(left, run_start[k]) - 1
+            if best is None or d < dist or c_uid[cand] < c_uid[best]:
+                best, dist = cand, d
+        if best is None or (caliper is not None and dist > caliper):
+            unmatched.append(ids[i])
             continue
-        dist = abs(scores.mean_score[i] - scores.mean_score[best])
-        if caliper is not None and dist > caliper:
-            unmatched.append(scores.unit_ids[i])
-            continue
-        available.discard(best)
-        pairs.append((scores.unit_ids[i], scores.unit_ids[best], float(dist)))
+        right[best] = best + 1
+        left[best + 1] = best
+        pairs.append((ids[i], ids[controls[best]], dist))
     return pairs, unmatched
 
 

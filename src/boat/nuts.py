@@ -201,8 +201,8 @@ class _Tree:
         self.diverged = self.diverged or diverged
         self.accept_sum += min(1.0, np.exp(min(0.0, -energy_error)))
         self.n_leaves += 1
-        # (q-, p-, g-, q+, p+, g+, proposal, logsumw, stop)
-        return (q1, p1, g1, q1, p1, g1, q1, logw, diverged)
+        # (q-, p-, g-, q+, p+, g+, proposal (q, logp, grad), logsumw, stop)
+        return (q1, p1, g1, q1, p1, g1, (q1, logp1, g1), logw, diverged)
 
     def build(self, q, p, grad, depth, direction):
         if depth == 0:
@@ -241,7 +241,7 @@ def _nuts_transition(q0, logp0, grad0, step, rng, logp_fn, grad_fn, max_tree_dep
 
     qm, pm, gm = q0, p0, grad0
     qp, pp, gp = q0, p0, grad0
-    prop = q0
+    prop = None  # the chain stays at q0 until a subtree's leaf is drawn
     logw = logw0
     depth = 0
     while depth < max_tree_depth:
@@ -266,11 +266,9 @@ def _nuts_transition(q0, logp0, grad0, step, rng, logp_fn, grad_fn, max_tree_dep
 
     accept_stat = tree.accept_sum / max(tree.n_leaves, 1)
     stats = (accept_stat, depth, tree.diverged, tree.n_leaves, -logw0)
-    if prop is q0:
+    if prop is None:
         return (q0, logp0, grad0, *stats)
-    logp = logp_fn(prop)
-    grad = np.asarray(grad_fn(prop), dtype=float)
-    return (prop, logp, grad, *stats)
+    return (*prop, *stats)
 
 
 def nuts_step(current, step_size, rng, model: ModelSpec, data, max_tree_depth=10):

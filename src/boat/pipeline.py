@@ -13,6 +13,7 @@ Either fuel_g or energy_wh may be empty, but not both.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from zoneinfo import ZoneInfo
@@ -151,10 +152,31 @@ def _parse_trip(row: dict) -> TripRecord:
     odometer = float(row["odometer_km"])
     max_speed = float(row["max_speed_kmh"])
     engine_starts = int(row["engine_starts"])
-    if distance < 0 or odometer < 0 or max_speed < 0 or engine_starts < 0:
-        raise ValueError("negative value in a non-negative field")
-    if (fuel is not None and fuel < 0) or (energy is not None and energy < 0):
-        raise ValueError("negative fuel/energy")
+    for name, value in (
+        ("distance_km", distance),
+        ("odometer_km", odometer),
+        ("max_speed_kmh", max_speed),
+        ("engine_starts", engine_starts),
+    ):
+        if value < 0:
+            raise ValueError(f"negative value in a non-negative field: {name}")
+    for name, value in (("fuel_g", fuel), ("energy_wh", energy)):
+        if value is not None and value < 0:
+            raise ValueError(f"negative fuel/energy: {name}")
+    ambient_temp = float(row["ambient_temp_c"])
+    trailer = _parse_bool(row["trailer"])
+    # after every other check, so a row those reject keeps its reason
+    for name, value in (
+        ("distance_km", distance),
+        ("duration_h", duration_h),
+        ("odometer_km", odometer),
+        ("max_speed_kmh", max_speed),
+        ("ambient_temp_c", ambient_temp),
+        ("fuel_g", fuel),
+        ("energy_wh", energy),
+    ):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} is not finite")
     return TripRecord(
         vehicle_id=row["vehicle_id"],
         start_time=start,
@@ -165,9 +187,9 @@ def _parse_trip(row: dict) -> TripRecord:
         energy_wh=energy,
         soc_start_pct=soc_start,
         soc_end_pct=soc_end,
-        ambient_temp_c=float(row["ambient_temp_c"]),
+        ambient_temp_c=ambient_temp,
         engine_starts=engine_starts,
-        trailer=_parse_bool(row["trailer"]),
+        trailer=trailer,
         drive_mode=row["drive_mode"].strip(),
         odometer_km=odometer,
         max_speed_kmh=max_speed,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boat.bpsm import (
@@ -30,6 +30,18 @@ def make_scores(treated_scores, control_scores):
         mean_score=np.array(scores),
         treated=np.array([True] * n_t + [False] * len(control_scores)),
     )
+
+
+def _neighbours(v):
+    below, above = np.nextafter(v, 0.0), np.nextafter(v, 1.0)
+    return [float(x) for x in (np.nextafter(below, 0.0), below, v, above, np.nextafter(above, 1.0))]
+
+
+# Scores from a small set plus their nearest floats, so that ties are common:
+# equal scores, a control on each side at one distance (0.25 and 0.75 around
+# 0.5), and distinct scores whose rounded distances coincide on either side
+# (0.2 to 0.75 and to the float above it are both 0.55).
+TIE_POOL = [x for v in (0.06, 0.1, 0.2, 0.25, 0.5, 0.75, 0.9) for x in _neighbours(v)]
 
 
 def greedy_oracle(treated, control, caliper):
@@ -77,7 +89,7 @@ class TestCaliperMatch:
             treated = [(i, ts[i]) for i in range(n_t)]
             control = [(n_t + j, cs[j]) for j in range(n_c)]
             pairs, unmatched = greedy_oracle(treated, control, 0.1)
-            assert [(a, b) for a, b, _ in m.pairs] == [(a, b) for a, b, _ in pairs]
+            assert m.pairs == pairs
             assert m.unmatched_treated == unmatched
 
     def test_empty_group_rejected(self):
@@ -129,8 +141,9 @@ class TestNNMatch:
             m = nn_match_1to1(scores)
             treated = [(i, ts[i]) for i in range(n_t)]
             control = [(n_t + j, cs[j]) for j in range(n_c)]
-            pairs, _ = greedy_oracle(treated, control, None)
-            assert [(a, b) for a, b, _ in m.pairs] == [(a, b) for a, b, _ in pairs]
+            pairs, unmatched = greedy_oracle(treated, control, None)
+            assert m.pairs == pairs
+            assert m.unmatched_treated == unmatched == []
 
     def test_matches_everyone_when_feasible(self):
         rng = np.random.default_rng(12)
@@ -139,6 +152,83 @@ class TestNNMatch:
             m = nn_match_1to1(scores)
             assert len(m.pairs) == 6
             assert m.unmatched_treated == []
+
+    def test_same_side_rounding_ties_go_to_lower_id(self):
+        # distinct control scores on one side of the treated score whose
+        # rounded distances are equal: the lower control id wins
+        for t, c in ((0.2, 0.75), (0.9, 0.1)):
+            c_next = float(np.nextafter(c, 1.0))
+            assert c != c_next and abs(t - c) == abs(t - c_next)
+            for c_id, c_next_id in ((1, 2), (2, 1)):
+                scores = PropensityScores(
+                    unit_ids=np.array([0, c_id, c_next_id]),
+                    mean_score=np.array([t, c, c_next]),
+                    treated=np.array([True, False, False]),
+                )
+                assert nn_match_1to1(scores).pairs == [(0, 1, abs(t - c))]
+
+    def test_left_right_tie_goes_to_lower_id(self):
+        for left_id, right_id in ((1, 2), (2, 1)):
+            scores = PropensityScores(
+                unit_ids=np.array([0, left_id, right_id]),
+                mean_score=np.array([0.5, 0.25, 0.75]),
+                treated=np.array([True, False, False]),
+            )
+            assert nn_match_1to1(scores).pairs == [(0, 1, 0.25)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tied_scores_match_oracle(self, data):
+        ts = data.draw(st.lists(st.sampled_from(TIE_POOL), min_size=1, max_size=10))
+        cs = data.draw(st.lists(st.sampled_from(TIE_POOL), min_size=1, max_size=14))
+        # 0.25 and 0.55 are tie distances themselves; 1e-9 often matches nothing
+        caliper = data.draw(st.sampled_from([None, 0.25, 0.55, 1e-9]))
+        assume(caliper is not None or len(cs) >= len(ts))
+        ids = data.draw(st.permutations(range(len(ts) + len(cs))))
+        if data.draw(st.booleans()):
+            ids = [f"u{i}" for i in ids]
+        scores = PropensityScores(
+            unit_ids=np.array(ids),
+            mean_score=np.array(ts + cs),
+            treated=np.array([True] * len(ts) + [False] * len(cs)),
+        )
+        m = nn_match_1to1(scores) if caliper is None else caliper_match(scores, caliper)
+        want_pairs, want_unmatched = greedy_oracle(
+            list(zip(ids, ts)), list(zip(ids[len(ts):], cs)), caliper
+        )
+        assert m.pairs == want_pairs
+        assert m.unmatched_treated == want_unmatched
+
+    @pytest.mark.parametrize("treated_score", [0.5, 0.75, 0.25])
+    def test_one_shared_score_at_scale(self, treated_score):
+        # 20,000 treated units on one score and 20,000 controls on one score,
+        # the same one or to either side: treated go by id, each taking the
+        # lowest unused control id. Quadratic tie handling would take minutes.
+        n = 20_000
+        ids = np.random.default_rng(13).permutation(2 * n)
+        scores = PropensityScores(
+            unit_ids=ids,
+            mean_score=np.where(np.arange(2 * n) < n, treated_score, 0.5),
+            treated=np.arange(2 * n) < n,
+        )
+        m = nn_match_1to1(scores)
+        assert m.treated_ids() == sorted(ids[:n].tolist())
+        assert m.control_ids() == sorted(ids[n:].tolist())
+        assert {d for _, _, d in m.pairs} == {abs(treated_score - 0.5)}
+
+    def test_random_scores_at_scale(self):
+        n = 20_000
+        rng = np.random.default_rng(14)
+        ids = rng.permutation(2 * n)
+        s = rng.uniform(0.01, 0.99, 2 * n)
+        scores = PropensityScores(unit_ids=ids, mean_score=s, treated=np.arange(2 * n) < n)
+        m = nn_match_1to1(scores)
+        score_of = dict(zip(ids.tolist(), s.tolist()))
+        assert sorted(m.treated_ids()) == sorted(ids[:n].tolist())
+        assert sorted(m.control_ids()) == sorted(ids[n:].tolist())
+        t_scores = [score_of[t] for t in m.treated_ids()]
+        assert t_scores == sorted(t_scores, reverse=True)
+        assert all(d == abs(score_of[t] - score_of[c]) for t, c, d in m.pairs)
 
 
 class TestPropensityScores:
@@ -166,6 +256,13 @@ class TestPropensityScores:
         post = self.point_mass_posterior(["alpha", "beta_x"], [0.0, np.log(3.0)])
         s = propensity_scores(post, dm)
         assert s.mean_score[0] == pytest.approx(0.75)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ContractError):
+            PropensityScores(
+                unit_ids=np.arange(2), mean_score=np.array([0.5, np.nan]),
+                treated=np.array([True, False]),
+            )
 
     def test_name_mismatch(self):
         dm = DesignMatrix(

@@ -99,6 +99,33 @@ class TestNutsStep:
             n_div += diverged
         assert n_div == 0
 
+    def test_transition_takes_the_proposal_values_from_its_leaf(self):
+        calls = {"logp": 0, "grad": 0}
+
+        def logp(q):
+            calls["logp"] += 1
+            return -0.5 * float(q @ q)
+
+        def grad(q):
+            calls["grad"] += 1
+            return -q
+
+        rng = np.random.default_rng(3)
+        q = np.array([0.3, -0.2])
+        moved = 0
+        for _ in range(200):
+            calls.update(logp=0, grad=0)
+            q1, logp1, grad1, _, _, _, n_leaves, _ = nuts._nuts_transition(
+                q, logp(q), grad(q), 0.7, rng, logp, grad, 10
+            )
+            # one gradient and one log-density per leaf, none for the proposal
+            assert calls == {"logp": n_leaves + 1, "grad": n_leaves + 1}
+            assert logp1 == logp(q1)
+            np.testing.assert_array_equal(grad1, grad(q1))
+            moved += q1 is not q
+            q = q1
+        assert moved > 150
+
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             nuts_step(np.array([0.0]), 0.0, np.random.default_rng(0), STD_GAUSSIAN_1D, None)

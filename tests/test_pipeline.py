@@ -87,6 +87,35 @@ class TestIngest:
         assert [r["line"] for r in rejects] == [3, 4, 5, 6]
         assert all("reason" in r and "row" in r for r in rejects)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "column",
+        ["distance_km", "duration_h", "odometer_km", "max_speed_kmh",
+         "ambient_temp_c", "fuel_g", "energy_wh"],
+    )
+    def test_non_finite_value_rejected_naming_column(self, column, value):
+        cells = FIVE_TRIPS[0].split(",")
+        cells[TRIPS_CSV_COLUMNS.index(column)] = value
+        trips, rejects = ingest_trips(csv_source([FIVE_TRIPS[1], ",".join(cells)]))
+        assert len(trips) == 1
+        assert [r["line"] for r in rejects] == [3]
+        assert column in rejects[0]["reason"]
+
+    def test_inf_distance_rejected_at_ingestion_not_as_speed(self):
+        cells = FIVE_TRIPS[0].split(",")
+        cells[TRIPS_CSV_COLUMNS.index("distance_km")] = "inf"
+        trips, rejects = ingest_trips(csv_source([",".join(cells)]))
+        assert trips == []
+        assert rejects[0]["reason"] == "distance_km is not finite"
+
+    def test_earlier_check_keeps_its_reason_over_non_finite(self):
+        # soc out of range and a nan distance: the soc check comes first
+        cells = FIVE_TRIPS[0].split(",")
+        cells[TRIPS_CSV_COLUMNS.index("soc_start_pct")] = "150"
+        cells[TRIPS_CSV_COLUMNS.index("distance_km")] = "nan"
+        _, rejects = ingest_trips(csv_source([",".join(cells)]))
+        assert rejects[0]["reason"] == "state of charge must be in [0, 100]"
+
     def test_duration_within_one_second_tolerated(self):
         row = "v1,2024-03-04T08:00:00,2024-03-04T09:00:00,50,1.0002,4000,,90,15,10,2,0,hybrid,1000,100,treatment"
         trips, rejects = ingest_trips(csv_source([row]))
