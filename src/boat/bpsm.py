@@ -235,8 +235,8 @@ def _greedy_match(scores: PropensityScores, caliper: float | None):
 
 def caliper_match(scores: PropensityScores, caliper: float = DEFAULT_CALIPER) -> MatchResult:
     """Greedy matching that discards treated units beyond the caliper."""
-    if caliper <= 0:
-        raise ValueError("caliper must be > 0")
+    if not caliper > 0:  # also rejects NaN
+        raise ValueError(f"caliper must be > 0, got {caliper}")
     pairs, unmatched = _greedy_match(scores, caliper)
     return MatchResult(pairs=pairs, unmatched_treated=unmatched, method=f"caliper({caliper})")
 

@@ -1,12 +1,17 @@
 """Command-line entry point: pipeline -> model -> report, plus the
 decision-flowchart advisor.
 
-Every subcommand writes its artifacts into --out and nothing else:
-summary.json (posterior summaries, R-hat, effect estimate, per-chain
-sampler statistics), draws.csv, report.json (assumption checks),
-plot_data.csv, and matches.csv for the matching workflow. Failures exit
-nonzero with an error JSON on stderr. All JSON outputs carry
-"schema": "boat/1".
+`boat bpsm`, `boat bdid` and `boat brdd` share one command function,
+`_cmd_fit`. It reads --data through one reader, `_Table`, and hands it to the
+design's function, which returns (posterior, ate, report, plot_rows,
+extra_artifacts): the report's assumption checks, the plot_data.csv rows
+(header first) and {file name: writer} for design-only files (matches.csv for
+bpsm). `_cmd_fit` writes draws.csv, the extra artifacts, report.json,
+plot_data.csv and summary.json (posterior summaries, R-hat, effect estimate,
+per-chain sampler statistics) into --out and nothing else. Failures exit
+nonzero with an error JSON on stderr; a design function writes nothing, so an
+input it rejects leaves no artifact. All JSON outputs carry "schema":
+"boat/1".
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import operator
 import os
 import re
 import sys
@@ -68,50 +74,55 @@ def advise(answers: dict) -> str:
     return RECOMMEND_BDID
 
 
-def _read_table(path) -> tuple[list[str], list[dict]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if not header:
-            raise SchemaError(f"{path}: empty or headerless CSV")
-        rows = list(reader)
-    return header, rows
+class _Table:
+    """The --data CSV. Every error names the file; a cell error also names
+    its column and its row (the header is row 1)."""
 
+    def __init__(self, path):
+        self.path = path
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if not reader.fieldnames:
+                raise SchemaError(f"{path}: empty or headerless CSV")
+            self.rows = list(reader)
 
-def _column(rows, name, path) -> list[str]:
-    try:
-        return [row[name] for row in rows]
-    except KeyError:
-        raise SchemaError(f"{path}: missing column {name!r}") from None
-
-
-def _floats(values, name, path) -> np.ndarray:
-    out = np.empty(len(values))
-    for i, v in enumerate(values):
+    def column(self, name) -> list[str]:
         try:
-            out[i] = float(v)
-        except (TypeError, ValueError):
-            raise SchemaError(
-                f"{path}: non-numeric value {v!r} in column {name!r} (row {i + 2})"
-            ) from None
-        if not np.isfinite(out[i]):
-            raise SchemaError(
-                f"{path}: non-finite value {v!r} in column {name!r} (row {i + 2})"
-            )
-    return out
+            values = [row[name] for row in self.rows]
+        except KeyError:
+            raise SchemaError(f"{self.path}: missing column {name!r}") from None
+        # csv.DictReader fills the cells a short row lacks with None
+        if None in values:
+            raise SchemaError(f"{self.path}: missing value in column {name!r} "
+                              f"(row {values.index(None) + 2})")
+        return values
 
+    def floats(self, name) -> np.ndarray:
+        values = self.column(name)
+        out = np.empty(len(values))
+        for i, v in enumerate(values):
+            try:
+                out[i] = float(v)
+            except (TypeError, ValueError):
+                raise SchemaError(f"{self.path}: non-numeric value {v!r} in column "
+                                  f"{name!r} (row {i + 2})") from None
+            if not np.isfinite(out[i]):
+                raise SchemaError(f"{self.path}: non-finite value {v!r} in column "
+                                  f"{name!r} (row {i + 2})")
+        return out
 
-def _treatment_from_group(values, path) -> np.ndarray:
-    t = np.empty(len(values), dtype=int)
-    for i, v in enumerate(values):
-        label = v.strip().lower()
-        if label in ("treatment", "treated", "1"):
-            t[i] = 1
-        elif label in ("control", "0"):
-            t[i] = 0
-        else:
-            raise SchemaError(f"{path}: unknown group label {v!r} (row {i + 2})")
-    return t
+    def treatment(self, name) -> np.ndarray:
+        values = self.column(name)
+        t = np.empty(len(values), dtype=int)
+        for i, v in enumerate(values):
+            label = v.strip().lower()
+            if label in ("treatment", "treated", "1"):
+                t[i] = 1
+            elif label in ("control", "0"):
+                t[i] = 0
+            else:
+                raise SchemaError(f"{self.path}: unknown group label {v!r} (row {i + 2})")
+        return t
 
 
 def _parse_z_filter(expr: str):
@@ -119,23 +130,13 @@ def _parse_z_filter(expr: str):
     if not m:
         raise ValueError(f"cannot parse filter expression: {expr!r}")
     _, op, thresh = m.groups()
-    thresh = float(thresh)
-    ops = {
-        ">": lambda v: v > thresh,
-        ">=": lambda v: v >= thresh,
-        "<": lambda v: v < thresh,
-        "<=": lambda v: v <= thresh,
-    }
-    return ops[op]
+    compare = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}[op]
+    return lambda v: compare(v, float(thresh))
 
 
 def _sampler_config(args) -> SamplerConfig:
-    return SamplerConfig(
-        draws=args.draws,
-        warmup=args.warmup,
-        chains=args.chains,
-        seed=args.seed,
-    )
+    return SamplerConfig(draws=args.draws, warmup=args.warmup, chains=args.chains,
+                         seed=args.seed)
 
 
 def _write_json(path, payload) -> None:
@@ -163,27 +164,12 @@ def _converged(posterior_summary) -> bool:
     )
 
 
-def _base_summary(args, posterior, ate) -> dict:
-    posterior_summary = summarize(posterior)
-    return {
-        "subcommand": args.command,
-        "seed": args.seed,
-        "converged": _converged(posterior_summary),
-        "ate": ate.to_dict(),
-        "posterior": posterior_summary,
-        "sampler": [dataclasses.asdict(stats) for stats in posterior.chain_stats],
-    }
-
-
-def _cmd_bpsm(args) -> int:
-    _, rows = _read_table(args.data)
+def _fit_bpsm(args, table: _Table):
     covariates = args.covariates.split(",")
-    unit_ids = np.array(_column(rows, "unit_id", args.data))
-    t = _treatment_from_group(_column(rows, args.treatment_col, args.data), args.data)
-    y = _floats(_column(rows, args.target, args.data), args.target, args.data)
-    X = np.column_stack(
-        [_floats(_column(rows, c, args.data), c, args.data) for c in covariates]
-    )
+    unit_ids = np.array(table.column("unit_id"))
+    t = table.treatment(args.treatment_col)
+    y = table.floats(args.target)
+    X = np.column_stack([table.floats(c) for c in covariates])
     X, meta = min_max_scale(X, covariates)
     data = DesignMatrix(
         unit_ids=unit_ids, X=X, t=t, y=y, covariate_names=covariates, scaling_meta=meta
@@ -200,99 +186,75 @@ def _cmd_bpsm(args) -> int:
     y_by_id = dict(zip(unit_ids.tolist(), y.tolist()))
     ate = bpsm.ate_psm(match, y_by_id)
 
-    posterior.to_csv(os.path.join(args.out, "draws.csv"))
-    match.to_csv(os.path.join(args.out, "matches.csv"))
-    _write_json(
-        os.path.join(args.out, "report.json"),
-        {
-            "balance": bpsm.balance_report(match, data),
-            "positivity": bpsm.positivity_check(scores, bins=10),
-            "naive_ate": naive_ate(t, y).to_dict(),
-            "n_pairs": len(match.pairs),
-            "n_unmatched_treated": len(match.unmatched_treated),
-            "sampler_warnings": posterior.warnings,
-        },
-    )
-    with open(os.path.join(args.out, "plot_data.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "group", "propensity_score"])
-        for uid, grp, s in zip(scores.unit_ids, scores.group, scores.mean_score):
-            writer.writerow([uid, grp, repr(float(s))])
-    _write_json(os.path.join(args.out, "summary.json"), _base_summary(args, posterior, ate))
-    return 0
+    report = {
+        "balance": bpsm.balance_report(match, data),
+        "positivity": bpsm.positivity_check(scores, bins=10),
+        "naive_ate": naive_ate(t, y).to_dict(),
+        "n_pairs": len(match.pairs),
+        "n_unmatched_treated": len(match.unmatched_treated),
+    }
+    plot_rows = [["unit_id", "group", "propensity_score"]] + [
+        [uid, grp, repr(float(s))]
+        for uid, grp, s in zip(scores.unit_ids, scores.group, scores.mean_score)
+    ]
+    return posterior, ate, report, plot_rows, {"matches.csv": match.to_csv}
 
 
-def _cmd_bdid(args) -> int:
-    _, rows = _read_table(args.data)
-    periods = [p.strip().lower() for p in _column(rows, args.period_col, args.data)]
+def _fit_bdid(args, table: _Table):
+    periods = [p.strip().lower() for p in table.column(args.period_col)]
     bad = set(periods) - {"pre", "post"}
     if bad:
-        raise SchemaError(f"{args.data}: period values must be pre/post, got {sorted(bad)}")
-    unit_ids = _column(rows, "unit_id", args.data)
-    t = _treatment_from_group(_column(rows, args.treatment_col, args.data), args.data)
-    y = _floats(_column(rows, args.target, args.data), args.target, args.data)
+        raise SchemaError(f"{table.path}: period values must be pre/post, got {sorted(bad)}")
+    unit_ids = table.column("unit_id")
+    t = table.treatment(args.treatment_col)
+    y = table.floats(args.target)
 
     per_unit: dict = {}
     for uid, period, ti, yi in zip(unit_ids, periods, t, y):
         per_unit.setdefault(uid, {})[period] = (ti, yi)
-    ids, y_pre, y_post, treated = [], [], [], []
     for uid, obs in per_unit.items():
         if set(obs) != {"pre", "post"}:
-            raise SchemaError(f"{args.data}: unit {uid!r} not observed in both periods")
-        ids.append(uid)
-        y_pre.append(obs["pre"][1])
-        y_post.append(obs["post"][1])
-        treated.append(bool(obs["pre"][0]))
+            raise SchemaError(f"{table.path}: unit {uid!r} not observed in both periods")
+    units = list(per_unit.values())
     panel = bdid.PanelDataset(
-        unit_ids=np.array(ids), y_pre=np.array(y_pre), y_post=np.array(y_post),
-        treated=np.array(treated),
+        unit_ids=np.array(list(per_unit)),
+        y_pre=np.array([u["pre"][1] for u in units]),
+        y_post=np.array([u["post"][1] for u in units]),
+        treated=np.array([bool(u["pre"][0]) for u in units]),
     )
     priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scales=args.beta_scale)
     posterior = bdid.fit_did(panel, priors, _sampler_config(args))
     ate = bdid.ate_did(posterior)
 
-    treated_arr = np.array(treated)
+    # key order: pre_control, post_control, pre_treatment, post_treatment
     cell_means = {
-        "pre_control": float(np.mean(np.array(y_pre)[~treated_arr])),
-        "post_control": float(np.mean(np.array(y_post)[~treated_arr])),
-        "pre_treatment": float(np.mean(np.array(y_pre)[treated_arr])),
-        "post_treatment": float(np.mean(np.array(y_post)[treated_arr])),
+        f"{period}_{group}": float(np.mean(ys[mask]))
+        for group, mask in (("control", ~panel.treated), ("treatment", panel.treated))
+        for period, ys in (("pre", panel.y_pre), ("post", panel.y_post))
     }
-    posterior.to_csv(os.path.join(args.out, "draws.csv"))
-    _write_json(
-        os.path.join(args.out, "report.json"),
-        {
-            "cell_means": cell_means,
-            "ate_did_from_means": bdid.ate_did_from_means(
-                cell_means["pre_control"], cell_means["post_control"],
-                cell_means["pre_treatment"], cell_means["post_treatment"],
-            ),
-            "parallel_trend": None,
-            "parallel_trend_note": (
-                "trend check needs >= 2 pre-intervention time points; "
-                "the two-period input has one"
-            ),
-            "sampler_warnings": posterior.warnings,
-        },
-    )
-    with open(os.path.join(args.out, "plot_data.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "period", "mean_y"])
-        writer.writerow(["control", "pre", repr(cell_means["pre_control"])])
-        writer.writerow(["control", "post", repr(cell_means["post_control"])])
-        writer.writerow(["treatment", "pre", repr(cell_means["pre_treatment"])])
-        writer.writerow(["treatment", "post", repr(cell_means["post_treatment"])])
-    _write_json(os.path.join(args.out, "summary.json"), _base_summary(args, posterior, ate))
-    return 0
+    report = {
+        "cell_means": cell_means,
+        "ate_did_from_means": bdid.ate_did_from_means(
+            cell_means["pre_control"], cell_means["post_control"],
+            cell_means["pre_treatment"], cell_means["post_treatment"],
+        ),
+        "parallel_trend": None,
+        "parallel_trend_note": (
+            "trend check needs >= 2 pre-intervention time points; "
+            "the two-period input has one"
+        ),
+    }
+    plot_rows = [["group", "period", "mean_y"]] + [
+        [group, period, repr(cell_means[f"{period}_{group}"])]
+        for group in ("control", "treatment") for period in ("pre", "post")
+    ]
+    return posterior, ate, report, plot_rows, {}
 
 
-def _cmd_brdd(args) -> int:
-    _, rows = _read_table(args.data)
-    x = _floats(_column(rows, args.assignment_col, args.data), args.assignment_col, args.data)
-    y = _floats(_column(rows, args.target, args.data), args.target, args.data)
-    z = None
-    if args.z_col:
-        z = _floats(_column(rows, args.z_col, args.data), args.z_col, args.data)
+def _fit_brdd(args, table: _Table):
+    x = table.floats(args.assignment_col)
+    y = table.floats(args.target)
+    z = table.floats(args.z_col) if args.z_col else None
     data = brdd.RddDataset(assignment=x, y=y, cutoff=args.cutoff, z=z)
     if args.z_filter:
         if z is None:
@@ -303,32 +265,55 @@ def _cmd_brdd(args) -> int:
     posterior = brdd.fit_rdd(data, priors, _sampler_config(args))
     ate = brdd.ate_rdd(posterior)
 
-    span = data.assignment.max() - data.assignment.min()
-    bandwidth = args.bandwidth if args.bandwidth else 0.1 * span
-    density = brdd.density_continuity_check(data.assignment, args.cutoff, bandwidth)
-
-    posterior.to_csv(os.path.join(args.out, "draws.csv"))
-    _write_json(
-        os.path.join(args.out, "report.json"),
-        {
-            "density_continuity": density,
-            "n_rows_fitted": int(posterior.diagnostics["_n_rows"]),
-            "sampler_warnings": posterior.warnings,
-        },
-    )
+    bandwidth = args.bandwidth or 0.1 * (data.assignment.max() - data.assignment.min())
+    report = {
+        "density_continuity": brdd.density_continuity_check(
+            data.assignment, args.cutoff, bandwidth),
+        "n_rows_fitted": int(posterior.diagnostics["_n_rows"]),
+    }
     xs = np.linspace(data.assignment.min(), data.assignment.max(), 101)
     z_fixed = float(np.mean(data.z)) if data.z is not None else 0.0
     lines = brdd.predict_lines(posterior, xs, args.cutoff, z_fixed)
+    plot_rows = [["x", "y_control", "y_treated"]] + [
+        [repr(float(v)) for v in row]
+        for row in zip(lines["x"], lines["y_control"], lines["y_treated"])
+    ]
+    return posterior, ate, report, plot_rows, {}
+
+
+# The design functions look up what they call on the bpsm/bdid/brdd modules at
+# call time, so a function replaced there (by a tracer, say) is the one that runs.
+_DESIGNS = {"bpsm": _fit_bpsm, "bdid": _fit_bdid, "brdd": _fit_brdd}
+
+
+def _cmd_fit(args) -> int:
+    posterior, ate, report, plot_rows, extra_artifacts = _DESIGNS[args.command](
+        args, _Table(args.data))
+    posterior.to_csv(os.path.join(args.out, "draws.csv"))
+    for name, write in extra_artifacts.items():
+        write(os.path.join(args.out, name))
+    _write_json(os.path.join(args.out, "report.json"),
+                {**report, "sampler_warnings": posterior.warnings})
     with open(os.path.join(args.out, "plot_data.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y_control", "y_treated"])
-        for i in range(len(xs)):
-            writer.writerow(
-                [repr(float(lines["x"][i])), repr(float(lines["y_control"][i])),
-                 repr(float(lines["y_treated"][i]))]
-            )
-    _write_json(os.path.join(args.out, "summary.json"), _base_summary(args, posterior, ate))
+        csv.writer(fh).writerows(plot_rows)
+    posterior_summary = summarize(posterior)
+    _write_json(os.path.join(args.out, "summary.json"), {
+        "subcommand": args.command,
+        "seed": args.seed,
+        "converged": _converged(posterior_summary),
+        "ate": ate.to_dict(),
+        "posterior": posterior_summary,
+        "sampler": [dataclasses.asdict(stats) for stats in posterior.chain_stats],
+    })
     return 0
+
+
+# scenario -> (simulate function, CSV writer, file name)
+_SCENARIOS = {
+    "confounded_psm": (simulate.simulate_confounded, simulate.write_design_csv, "units.csv"),
+    "seasonal_did": (simulate.simulate_seasonal_panel, simulate.write_panel_csv, "panel.csv"),
+    "cutoff_rdd": (simulate.simulate_discontinuity, simulate.write_rdd_csv, "rdd.csv"),
+}
 
 
 def _cmd_simulate(args) -> int:
@@ -344,17 +329,9 @@ def _cmd_simulate(args) -> int:
         noise_sd=args.noise_sd,
         seed=args.seed,
     )
-    if args.scenario == "confounded_psm":
-        data, truth = simulate.simulate_confounded(spec)
-        simulate.write_design_csv(data, os.path.join(args.out, "units.csv"))
-        truth = {"true_ate": truth["true_ate"],
-                 "true_propensity": truth["true_propensity"].tolist()}
-    elif args.scenario == "seasonal_did":
-        panel, truth = simulate.simulate_seasonal_panel(spec)
-        simulate.write_panel_csv(panel, os.path.join(args.out, "panel.csv"))
-    else:
-        data, truth = simulate.simulate_discontinuity(spec)
-        simulate.write_rdd_csv(data, os.path.join(args.out, "rdd.csv"))
+    simulate_fn, write_csv, file_name = _SCENARIOS[args.scenario]
+    data, truth = simulate_fn(spec)
+    write_csv(data, os.path.join(args.out, file_name))
     _write_json(os.path.join(args.out, "truth.json"), {"scenario": args.scenario, **truth})
     return 0
 
@@ -375,55 +352,47 @@ def _cmd_advise(args) -> int:
     return 0
 
 
-def _add_sampler_flags(p):
-    p.add_argument("--draws", type=int, default=3000)
-    p.add_argument("--warmup", type=int, default=200)
-    p.add_argument("--chains", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha-scale", type=float, default=1.0)
-    p.add_argument("--beta-scale", type=float, default=1.0)
-    p.add_argument("--out", required=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boat", description="Bayesian causal models for observational software tests"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bpsm", help="propensity-score matching workflow")
-    p.add_argument("--data", required=True)
+    fit = {}
+    for command, help_text in (("bpsm", "propensity-score matching workflow"),
+                               ("bdid", "difference-in-differences workflow"),
+                               ("brdd", "regression discontinuity workflow")):
+        p = fit[command] = sub.add_parser(command, help=help_text)
+        p.add_argument("--data", required=True)
+        p.add_argument("--target", default="y")
+        if command != "brdd":
+            p.add_argument("--treatment-col", default="group")
+        p.add_argument("--draws", type=int, default=3000)
+        p.add_argument("--warmup", type=int, default=200)
+        p.add_argument("--chains", type=int, default=2)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--alpha-scale", type=float, default=1.0)
+        p.add_argument("--beta-scale", type=float, default=1.0)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_fit)
+
+    p = fit["bpsm"]
     p.add_argument("--covariates", required=True, help="comma-separated column names")
-    p.add_argument("--target", default="y")
-    p.add_argument("--treatment-col", default="group")
     p.add_argument("--match", choices=["caliper", "nn"], default="caliper")
     p.add_argument("--caliper", type=float, default=bpsm.DEFAULT_CALIPER)
-    _add_sampler_flags(p)
-    p.set_defaults(func=_cmd_bpsm)
 
-    p = sub.add_parser("bdid", help="difference-in-differences workflow")
-    p.add_argument("--data", required=True)
-    p.add_argument("--target", default="y")
-    p.add_argument("--treatment-col", default="group")
-    p.add_argument("--period-col", default="period")
-    _add_sampler_flags(p)
-    p.set_defaults(func=_cmd_bdid)
+    fit["bdid"].add_argument("--period-col", default="period")
 
-    p = sub.add_parser("brdd", help="regression discontinuity workflow")
-    p.add_argument("--data", required=True)
-    p.add_argument("--target", default="y")
+    p = fit["brdd"]
     p.add_argument("--assignment-col", default="x")
     p.add_argument("--z-col", default=None)
     p.add_argument("--z-filter", default=None, help='e.g. "z>90"')
     p.add_argument("--cutoff", type=float, default=60.0)
     p.add_argument("--bandwidth", type=float, default=None,
                    help="density-check window; default 10%% of the x range")
-    _add_sampler_flags(p)
-    p.set_defaults(func=_cmd_brdd)
 
     p = sub.add_parser("simulate", help="generate a synthetic study with known truth")
-    p.add_argument("--scenario", required=True,
-                   choices=["confounded_psm", "seasonal_did", "cutoff_rdd"])
+    p.add_argument("--scenario", required=True, choices=list(_SCENARIOS))
     p.add_argument("--n-control", type=int, default=200)
     p.add_argument("--n-treated", type=int, default=40)
     p.add_argument("--true-ate", type=float, default=-0.3)

@@ -222,6 +222,13 @@ def ingest_trips(source) -> tuple[list[TripRecord], list[dict]]:
                 trips.append(_parse_trip(row))
             except (ValueError, KeyError, TypeError) as exc:
                 rejects.append({"line": lineno, "reason": str(exc), "row": dict(row)})
+            except AttributeError:
+                # a short row: csv.DictReader fills the cells it lacks with None
+                missing = next((k for k, v in row.items() if v is None), None)
+                if missing is None:
+                    raise
+                rejects.append({"line": lineno, "reason": f"missing value: {missing}",
+                                "row": dict(row)})
         return trips, rejects
     finally:
         if close:

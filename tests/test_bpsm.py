@@ -92,6 +92,12 @@ class TestCaliperMatch:
             assert m.pairs == pairs
             assert m.unmatched_treated == unmatched
 
+    @pytest.mark.parametrize("caliper", [float("nan"), 0.0, -0.1])
+    def test_non_positive_or_nan_caliper_rejected(self, caliper):
+        scores = make_scores([0.9], [0.5])
+        with pytest.raises(ValueError, match="caliper"):
+            caliper_match(scores, caliper)
+
     def test_empty_group_rejected(self):
         scores = make_scores([0.5], [])
         with pytest.raises(ContractError):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from boat.cli import (
     RECOMMEND_STRATIFY,
     _converged,
     advise,
+    build_parser,
     main,
 )
 
@@ -160,18 +162,16 @@ class TestBpsmCommand:
         header = (out / "draws.csv").read_text().splitlines()[0]
         assert header == "alpha,beta_x1,beta_x2"
 
-    def test_deterministic_given_seed(self, tmp_path):
+    def test_nan_caliper_errors(self, tmp_path, capsys):
         data = self.make_data(tmp_path)
-        outs = []
-        for name in ("r1", "r2"):
-            out = tmp_path / name
-            code = main(["bpsm", "--data", str(data), "--covariates", "x1,x2",
-                         "--out", str(out), *FAST])
-            assert code == 0
-            outs.append(out)
-        for artifact in ("draws.csv", "matches.csv", "plot_data.csv", "report.json",
-                         "summary.json"):
-            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+        out = tmp_path / "run"
+        code = main(["bpsm", "--data", str(data), "--covariates", "x1,x2",
+                     "--match", "caliper", "--caliper", "nan", "--out", str(out), *FAST])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "caliper" in err["message"]
+        assert list(out.iterdir()) == []
 
     def test_missing_column_errors(self, tmp_path, capsys):
         data = self.make_data(tmp_path)
@@ -335,3 +335,90 @@ class TestBrddCommand:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] in ("FileNotFoundError", "OSError")
+
+
+class TestFitCommand:
+    """What `boat bpsm`, `boat bdid` and `boat brdd` share: one command
+    function, one reader and one parser table."""
+
+    MAKE_DATA = {"bpsm": TestBpsmCommand, "bdid": TestBdidCommand, "brdd": TestBrddCommand}
+
+    @pytest.mark.parametrize(
+        "argv,artifacts",
+        [
+            pytest.param(["bpsm", "--covariates", "x1,x2", "--match", "nn"],
+                         ["draws.csv", "matches.csv", "plot_data.csv", "report.json",
+                          "summary.json"], id="bpsm-nn"),
+            pytest.param(["bpsm", "--covariates", "x1,x2", "--match", "caliper"],
+                         ["draws.csv", "matches.csv", "plot_data.csv", "report.json",
+                          "summary.json"], id="bpsm-caliper"),
+            pytest.param(["bdid"], ["draws.csv", "plot_data.csv", "report.json",
+                                    "summary.json"], id="bdid"),
+            pytest.param(["brdd", "--z-col", "z", "--z-filter", "z>0.3", "--bandwidth", "4"],
+                         ["draws.csv", "plot_data.csv", "report.json", "summary.json"],
+                         id="brdd-z-filter"),
+        ],
+    )
+    def test_deterministic_given_seed(self, tmp_path, argv, artifacts):
+        data = self.MAKE_DATA[argv[0]]().make_data(tmp_path)
+        outs = []
+        for name in ("r1", "r2"):
+            out = tmp_path / name
+            assert main([*argv, "--data", str(data), "--out", str(out), *FAST]) == 0
+            assert sorted(p.name for p in out.iterdir()) == artifacts
+            outs.append(out)
+        for artifact in artifacts:
+            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv,column",
+        [pytest.param(["bdid"], "group", id="bdid-group"),
+         pytest.param(["bdid"], "period", id="bdid-period"),
+         pytest.param(["bpsm", "--covariates", "x1,x2"], "group", id="bpsm-group")],
+    )
+    def test_missing_cell_errors(self, tmp_path, capsys, argv, column):
+        # `column` moved last; an extra last row is a valid one without that cell
+        with open(self.MAKE_DATA[argv[0]]().make_data(tmp_path), newline="") as fh:
+            rows = list(csv.reader(fh))
+        at = rows[0].index(column)
+        rows = [[*r[:at], *r[at + 1:], r[at]] for r in rows]
+        rows.append(rows[1][:-1])
+        path = tmp_path / "short.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "o"
+        code = main([*argv, "--data", str(path), "--out", str(out), *FAST])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert f"(row {len(rows)})" in err["message"]
+        assert repr(column) in err["message"]
+        assert list(out.iterdir()) == []
+
+    def test_parser_flags_and_defaults(self):
+        sampler = {"draws": 3000, "warmup": 200, "chains": 2, "seed": 0,
+                   "alpha_scale": 1.0, "beta_scale": 1.0, "out": "o"}
+        expected = {
+            ("bpsm", "--covariates", "x1"): {
+                "command": "bpsm", "data": "d.csv", "covariates": "x1", "target": "y",
+                "treatment_col": "group", "match": "caliper", "caliper": 0.05, **sampler},
+            ("bdid",): {
+                "command": "bdid", "data": "d.csv", "target": "y", "treatment_col": "group",
+                "period_col": "period", **sampler},
+            ("brdd",): {
+                "command": "brdd", "data": "d.csv", "target": "y", "assignment_col": "x",
+                "z_col": None, "z_filter": None, "cutoff": 60.0, "bandwidth": None,
+                **sampler},
+        }
+        for argv, want in expected.items():
+            args = vars(build_parser().parse_args([*argv, "--data", "d.csv", "--out", "o"]))
+            assert args.pop("func").__name__ == "_cmd_fit"
+            assert args == want
+        for argv in (["bpsm", "--covariates", "x1", "--out", "o"],
+                     ["bpsm", "--data", "d.csv", "--out", "o"],
+                     ["bdid", "--data", "d.csv"],
+                     ["bpsm", "--data", "d.csv", "--covariates", "x1", "--out", "o",
+                      "--match", "optimal"],
+                     ["brdd", "--data", "d.csv", "--out", "o", "--treatment-col", "g"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)

@@ -116,6 +116,13 @@ class TestIngest:
         _, rejects = ingest_trips(csv_source([",".join(cells)]))
         assert rejects[0]["reason"] == "state of charge must be in [0, 100]"
 
+    def test_short_row_rejected_naming_its_first_missing_column(self):
+        # the last cell (group) left off; the valid row after it still parses
+        short = FIVE_TRIPS[0].rsplit(",", 1)[0]
+        trips, rejects = ingest_trips(csv_source([short, FIVE_TRIPS[1]]))
+        assert [t.vehicle_id for t in trips] == [FIVE_TRIPS[1].split(",")[0]]
+        assert [(r["line"], r["reason"]) for r in rejects] == [(2, "missing value: group")]
+
     def test_duration_within_one_second_tolerated(self):
         row = "v1,2024-03-04T08:00:00,2024-03-04T09:00:00,50,1.0002,4000,,90,15,10,2,0,hybrid,1000,100,treatment"
         trips, rejects = ingest_trips(csv_source([row]))
