@@ -35,6 +35,7 @@ __all__ = [
     "fit_propensity",
     "propensity_scores",
     "caliper_match",
+    "check_caliper",
     "nn_match_1to1",
     "balance_report",
     "positivity_check",
@@ -233,10 +234,15 @@ def _greedy_match(scores: PropensityScores, caliper: float | None):
     return pairs, unmatched
 
 
-def caliper_match(scores: PropensityScores, caliper: float = DEFAULT_CALIPER) -> MatchResult:
-    """Greedy matching that discards treated units beyond the caliper."""
+def check_caliper(caliper: float) -> None:
+    """Raise ValueError unless the caliper is a positive number."""
     if not caliper > 0:  # also rejects NaN
         raise ValueError(f"caliper must be > 0, got {caliper}")
+
+
+def caliper_match(scores: PropensityScores, caliper: float = DEFAULT_CALIPER) -> MatchResult:
+    """Greedy matching that discards treated units beyond the caliper."""
+    check_caliper(caliper)
     pairs, unmatched = _greedy_match(scores, caliper)
     return MatchResult(pairs=pairs, unmatched_treated=unmatched, method=f"caliper({caliper})")
 

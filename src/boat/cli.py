@@ -8,10 +8,10 @@ extra_artifacts): the report's assumption checks, the plot_data.csv rows
 (header first) and {file name: writer} for design-only files (matches.csv for
 bpsm). `_cmd_fit` writes draws.csv, the extra artifacts, report.json,
 plot_data.csv and summary.json (posterior summaries, R-hat, effect estimate,
-per-chain sampler statistics) into --out and nothing else. Failures exit
-nonzero with an error JSON on stderr; a design function writes nothing, so an
-input it rejects leaves no artifact. All JSON outputs carry "schema":
-"boat/1".
+per-chain sampler statistics) into --out and nothing else, creating --out
+only then. Failures exit nonzero with an error JSON on stderr; a design
+function writes nothing, so an input it rejects leaves no artifact and no
+--out directory. All JSON outputs carry "schema": "boat/1".
 """
 
 from __future__ import annotations
@@ -85,6 +85,11 @@ class _Table:
             if not reader.fieldnames:
                 raise SchemaError(f"{path}: empty or headerless CSV")
             self.rows = list(reader)
+        # csv.DictReader keeps the cells beyond the header under the key None
+        for i, row in enumerate(self.rows):
+            if None in row:
+                raise SchemaError(f"{path}: extra cells {row[None]!r} beyond the header "
+                                  f"(row {i + 2})")
 
     def column(self, name) -> list[str]:
         try:
@@ -165,6 +170,8 @@ def _converged(posterior_summary) -> bool:
 
 
 def _fit_bpsm(args, table: _Table):
+    if args.match == "caliper":
+        bpsm.check_caliper(args.caliper)  # before the fit, which takes most of a run
     covariates = args.covariates.split(",")
     unit_ids = np.array(table.column("unit_id"))
     t = table.treatment(args.treatment_col)
@@ -289,6 +296,7 @@ _DESIGNS = {"bpsm": _fit_bpsm, "bdid": _fit_bdid, "brdd": _fit_brdd}
 def _cmd_fit(args) -> int:
     posterior, ate, report, plot_rows, extra_artifacts = _DESIGNS[args.command](
         args, _Table(args.data))
+    os.makedirs(args.out, exist_ok=True)
     posterior.to_csv(os.path.join(args.out, "draws.csv"))
     for name, write in extra_artifacts.items():
         write(os.path.join(args.out, name))
@@ -331,6 +339,7 @@ def _cmd_simulate(args) -> int:
     )
     simulate_fn, write_csv, file_name = _SCENARIOS[args.scenario]
     data, truth = simulate_fn(spec)
+    os.makedirs(args.out, exist_ok=True)
     write_csv(data, os.path.join(args.out, file_name))
     _write_json(os.path.join(args.out, "truth.json"), {"scenario": args.scenario, **truth})
     return 0
@@ -416,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "out", None):
-        os.makedirs(args.out, exist_ok=True)
     try:
         return args.func(args)
     except (BoatError, ValueError, OSError) as exc:

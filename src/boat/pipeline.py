@@ -8,14 +8,37 @@ The trips CSV schema (comma-separated, UTF-8, ISO-8601 timestamps):
     drive_mode,odometer_km,max_speed_kmh,group
 
 Either fuel_g or energy_wh may be empty, but not both.
+
+Trips are held as columns. A :class:`TripTable` has one numpy array per
+field; a :class:`TripRecord` is built only for a row someone indexes.
+
+``ingest_trips`` reads the CSV with ``csv.reader`` in blocks of
+``_BLOCK_ROWS`` rows, so only one block's cells are held as strings at a
+time. A row with more cells than the header, or too few to reach every
+required column, is rejected before any cell is read. The rest of the
+block is transposed once, and each column is converted by one mapped
+call (``float``, ``int``, ``datetime.fromisoformat``). Only a column
+whose mapped call raises is converted again cell by cell, to find the
+rows that fail and the error text. The row checks run as masks in a
+fixed order, and a rejected row keeps the reason of the first check it
+fails.
+
+``aggregate_to_vehicle`` numbers the vehicles in sorted id order and sums
+each covariate with ``np.bincount``. That adds each vehicle's values one
+at a time in trip order, as a Python ``sum`` over its trips does on
+Python <= 3.11 (3.12 compensates float sums), so the covariates equal a
+row-by-row loop's bit for bit there. Maxima and minima are taken with
+``reduceat`` over the trips stably sorted by vehicle.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
-from datetime import datetime
+import sys
+from dataclasses import dataclass, fields
+from datetime import datetime, timezone
+from itertools import compress, islice
+from operator import attrgetter, itemgetter
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -24,6 +47,7 @@ from .errors import ContractError, ScalingError, SchemaError
 
 __all__ = [
     "TripRecord",
+    "TripTable",
     "VehicleAggregate",
     "DesignMatrix",
     "COVARIATE_NAMES",
@@ -67,9 +91,17 @@ MAX_AVG_SPEED_KMH = 200.0
 
 DEFAULT_TIMEZONE = "Europe/Stockholm"
 
+_BLOCK_ROWS = 8192  # rows converted at once; bounds the cells held as strings
+_BOOLS = {**dict.fromkeys(("1", "true", "yes"), True),
+          **dict.fromkeys(("0", "false", "no", ""), False)}
+_UNIX_ORDINAL = datetime(1970, 1, 1).toordinal()
+_UTC = timezone.utc
+
 
 @dataclass(frozen=True)
 class TripRecord:
+    """One trip: the row view of a :class:`TripTable`."""
+
     vehicle_id: str
     start_time: datetime
     end_time: datetime
@@ -86,6 +118,57 @@ class TripRecord:
     odometer_km: float
     max_speed_kmh: float
     group: str
+
+
+@dataclass(frozen=True, eq=False)
+class TripTable:
+    """Trips as columns: row i of every array is trip i.
+
+    The fields are TripRecord's plus the timestamps' UTC offsets.
+    start_time/end_time hold the wall-clock time as written
+    (datetime64[us]); start_utcoffset/end_utcoffset hold its offset
+    (timedelta64[us], NaT for a naive stamp). fuel_g/energy_wh are NaN
+    where the cell was empty. An int index gives that trip's TripRecord;
+    a slice, mask or index array gives a TripTable.
+    """
+
+    vehicle_id: np.ndarray
+    start_time: np.ndarray
+    start_utcoffset: np.ndarray
+    end_time: np.ndarray
+    end_utcoffset: np.ndarray
+    distance_km: np.ndarray
+    duration_h: np.ndarray
+    fuel_g: np.ndarray
+    energy_wh: np.ndarray
+    soc_start_pct: np.ndarray
+    soc_end_pct: np.ndarray
+    ambient_temp_c: np.ndarray
+    engine_starts: np.ndarray
+    trailer: np.ndarray
+    drive_mode: np.ndarray
+    odometer_km: np.ndarray
+    max_speed_kmh: np.ndarray
+    group: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.vehicle_id)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self._record(range(len(self))[key])
+        return TripTable(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
+
+    def _record(self, i: int) -> TripRecord:
+        row = {f.name: getattr(self, f.name).item(i) for f in fields(TripRecord)}
+        for name in ("fuel_g", "energy_wh"):
+            if row[name] != row[name]:  # NaN: the cell was empty
+                row[name] = None
+        for name in ("start", "end"):
+            offset = getattr(self, f"{name}_utcoffset").item(i)
+            if offset is not None:
+                row[f"{name}_time"] = row[f"{name}_time"].replace(tzinfo=timezone(offset))
+        return TripRecord(**row)
 
 
 @dataclass(frozen=True)
@@ -122,87 +205,223 @@ class DesignMatrix:
 
 
 def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes"):
-        return True
-    if low in ("0", "false", "no", ""):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:
+        return _BOOLS[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-def _parse_trip(row: dict) -> TripRecord:
-    start = datetime.fromisoformat(row["start_time"])
-    end = datetime.fromisoformat(row["end_time"])
-    if end <= start:
-        raise ValueError("end_time must be after start_time")
-    duration_h = float(row["duration_h"])
-    if duration_h <= 0:
-        raise ValueError("duration_h must be > 0")
-    if abs((end - start).total_seconds() - duration_h * 3600.0) > 1.0:
-        raise ValueError("duration_h inconsistent with timestamps (> 1 s off)")
-    fuel = float(row["fuel_g"]) if row["fuel_g"].strip() else None
-    energy = float(row["energy_wh"]) if row["energy_wh"].strip() else None
-    if fuel is None and energy is None:
-        raise ValueError("one of fuel_g / energy_wh is required")
-    soc_start = float(row["soc_start_pct"])
-    soc_end = float(row["soc_end_pct"])
-    if not (0 <= soc_start <= 100 and 0 <= soc_end <= 100):
-        raise ValueError("state of charge must be in [0, 100]")
-    distance = float(row["distance_km"])
-    odometer = float(row["odometer_km"])
-    max_speed = float(row["max_speed_kmh"])
-    engine_starts = int(row["engine_starts"])
-    for name, value in (
-        ("distance_km", distance),
-        ("odometer_km", odometer),
-        ("max_speed_kmh", max_speed),
-        ("engine_starts", engine_starts),
-    ):
-        if value < 0:
-            raise ValueError(f"negative value in a non-negative field: {name}")
+def _bools(cells) -> np.ndarray:
+    return np.fromiter(map(_BOOLS.__getitem__, map(str.lower, map(str.strip, cells))),
+                       bool, len(cells))
+
+
+def _floats(cells) -> np.ndarray:
+    return np.fromiter(map(float, cells), float, len(cells))
+
+
+def _optional_float(cell: str) -> float:
+    return float(cell) if cell.strip() else np.nan
+
+
+def _optional_floats(cells) -> np.ndarray:
+    stripped = list(map(str.strip, cells))
+    out = np.full(len(cells), np.nan)
+    out[np.fromiter(map(bool, stripped), bool, len(cells))] = _floats(
+        list(compress(stripped, stripped)))
+    return out
+
+
+def _int64(cell: str) -> int:
+    value = int(cell)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"integer beyond the int64 range: {cell!r}")
+    return value
+
+
+def _ints(cells) -> np.ndarray:
+    return np.fromiter(map(int, cells), np.int64, len(cells))
+
+
+def _datetimes(cells) -> list[datetime]:
+    return list(map(datetime.fromisoformat, cells))
+
+
+def _stamps(stamps) -> tuple[np.ndarray, np.ndarray]:
+    """Wall-clock time (datetime64[us]) and UTC offset (timedelta64[us],
+    NaT when naive) of each datetime."""
+    n = len(stamps)
+    seconds = (np.fromiter(map(datetime.toordinal, stamps), np.int64, n) - _UNIX_ORDINAL) * 86400
+    for unit, scale in (("hour", 3600), ("minute", 60), ("second", 1)):
+        seconds += np.fromiter(map(attrgetter(unit), stamps), np.int64, n) * scale
+    micros = np.fromiter(map(attrgetter("microsecond"), stamps), np.int64, n)
+    wall = (seconds * 1_000_000 + micros).view("datetime64[us]")
+    offsets = list(map(datetime.utcoffset, stamps))
+    if offsets.count(None) == n:
+        return wall, np.full(n, np.timedelta64("NaT", "us"))
+    return wall, np.array(offsets, dtype="timedelta64[us]")
+
+
+def _utc(wall: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """The instants of wall-clock times; a naive one is taken as it stands."""
+    return wall - np.where(np.isnat(offset), np.timedelta64(0, "us"), offset)
+
+
+class _Block:
+    """Rows of the header's length as columns, and the reason of the first
+    check each row fails."""
+
+    def __init__(self, rows: list[list[str]], header: list[str]):
+        self.n = len(rows)
+        # a repeated header name takes its last column, as in csv.DictReader
+        self.cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+        self.reasons: dict[int, str] = {}
+
+    def fail(self, mask, reason: str) -> None:
+        """Reject the rows in `mask` that no earlier check rejected."""
+        for i in np.flatnonzero(mask).tolist():
+            self.reasons.setdefault(i, reason)
+
+    def convert(self, name, column, cell, fill=np.nan, dtype=float):
+        """Column `name` converted by `column`, a call on all its cells. If
+        that raises, `cell` converts each cell; a cell it raises on rejects
+        its row with the error's text and takes `fill`."""
+        cells = self.cells[name]
+        try:
+            return column(cells)
+        except (ValueError, KeyError, OverflowError):
+            pass
+        out = np.full(self.n, fill, dtype)
+        for i, c in enumerate(cells):
+            try:
+                out[i] = cell(c)
+            except ValueError as exc:
+                self.reasons.setdefault(i, str(exc))
+        return out
+
+    def floats(self, name) -> np.ndarray:
+        return self.convert(name, _floats, float)
+
+    def optional_floats(self, name) -> tuple[np.ndarray, np.ndarray]:
+        """Column `name` as floats, NaN where the cell is blank, and the mask
+        of the cells that are not blank."""
+        given = np.fromiter(map(bool, map(str.strip, self.cells[name])), bool, self.n)
+        return self.convert(name, _optional_floats, _optional_float), given
+
+    def stamps(self, name) -> tuple[np.ndarray, np.ndarray]:
+        return _stamps(self.convert(name, _datetimes, datetime.fromisoformat,
+                                    datetime(1970, 1, 1), object))
+
+    def texts(self, name, strip=True) -> np.ndarray:
+        # interned: a column repeats few distinct values, and the table
+        # then holds each of them once
+        cells = map(str.strip, self.cells[name]) if strip else self.cells[name]
+        return np.fromiter(map(sys.intern, cells), object, self.n)
+
+
+def _parse_rows(rows: list[list[str]], header: list[str]) -> tuple[dict, dict[int, str]]:
+    """Run the row checks over rows of the header's length, in order.
+
+    Returns the accepted rows' columns, keyed by TripTable field, and the
+    reason each rejected row (by index) fails.
+    """
+    b = _Block(rows, header)
+    start, start_offset = b.stamps("start_time")
+    end, end_offset = b.stamps("end_time")
+    b.fail(np.isnat(start_offset) != np.isnat(end_offset),
+           "can't compare offset-naive and offset-aware datetimes")
+    span_us = (_utc(end, end_offset) - _utc(start, start_offset)).astype(np.int64)
+    b.fail(span_us <= 0, "end_time must be after start_time")
+    duration = b.floats("duration_h")
+    b.fail(duration <= 0, "duration_h must be > 0")
+    b.fail(np.abs(span_us / 1e6 - duration * 3600.0) > 1.0,
+           "duration_h inconsistent with timestamps (> 1 s off)")
+    fuel, has_fuel = b.optional_floats("fuel_g")
+    energy, has_energy = b.optional_floats("energy_wh")
+    b.fail(~has_fuel & ~has_energy, "one of fuel_g / energy_wh is required")
+    soc_start = b.floats("soc_start_pct")
+    soc_end = b.floats("soc_end_pct")
+    b.fail(~((0 <= soc_start) & (soc_start <= 100) & (0 <= soc_end) & (soc_end <= 100)),
+           "state of charge must be in [0, 100]")
+    distance = b.floats("distance_km")
+    odometer = b.floats("odometer_km")
+    max_speed = b.floats("max_speed_kmh")
+    engine_starts = b.convert("engine_starts", _ints, _int64, 0, np.int64)
+    for name, value in (("distance_km", distance), ("odometer_km", odometer),
+                        ("max_speed_kmh", max_speed), ("engine_starts", engine_starts)):
+        b.fail(value < 0, f"negative value in a non-negative field: {name}")
     for name, value in (("fuel_g", fuel), ("energy_wh", energy)):
-        if value is not None and value < 0:
-            raise ValueError(f"negative fuel/energy: {name}")
-    ambient_temp = float(row["ambient_temp_c"])
-    trailer = _parse_bool(row["trailer"])
+        b.fail(value < 0, f"negative fuel/energy: {name}")
+    ambient_temp = b.floats("ambient_temp_c")
+    trailer = b.convert("trailer", _bools, _parse_bool, False, bool)
     # after every other check, so a row those reject keeps its reason
-    for name, value in (
-        ("distance_km", distance),
-        ("duration_h", duration_h),
-        ("odometer_km", odometer),
-        ("max_speed_kmh", max_speed),
-        ("ambient_temp_c", ambient_temp),
-        ("fuel_g", fuel),
-        ("energy_wh", energy),
+    for name, value, given in (
+        ("distance_km", distance, True),
+        ("duration_h", duration, True),
+        ("odometer_km", odometer, True),
+        ("max_speed_kmh", max_speed, True),
+        ("ambient_temp_c", ambient_temp, True),
+        ("fuel_g", fuel, has_fuel),
+        ("energy_wh", energy, has_energy),
     ):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} is not finite")
-    return TripRecord(
-        vehicle_id=row["vehicle_id"],
-        start_time=start,
-        end_time=end,
-        distance_km=distance,
-        duration_h=duration_h,
-        fuel_g=fuel,
-        energy_wh=energy,
-        soc_start_pct=soc_start,
-        soc_end_pct=soc_end,
-        ambient_temp_c=ambient_temp,
-        engine_starts=engine_starts,
-        trailer=trailer,
-        drive_mode=row["drive_mode"].strip(),
-        odometer_km=odometer,
-        max_speed_kmh=max_speed,
-        group=row["group"].strip(),
-    )
+        b.fail(given & ~np.isfinite(value), f"{name} is not finite")
+    columns = {
+        "vehicle_id": b.texts("vehicle_id", strip=False),
+        "start_time": start,
+        "start_utcoffset": start_offset,
+        "end_time": end,
+        "end_utcoffset": end_offset,
+        "distance_km": distance,
+        "duration_h": duration,
+        "fuel_g": fuel,
+        "energy_wh": energy,
+        "soc_start_pct": soc_start,
+        "soc_end_pct": soc_end,
+        "ambient_temp_c": ambient_temp,
+        "engine_starts": engine_starts,
+        "trailer": trailer,
+        "drive_mode": b.texts("drive_mode"),
+        "odometer_km": odometer,
+        "max_speed_kmh": max_speed,
+        "group": b.texts("group"),
+    }
+    keep = np.ones(b.n, bool)
+    keep[list(b.reasons)] = False
+    return {name: values[keep] for name, values in columns.items()}, b.reasons
 
 
-def ingest_trips(source) -> tuple[list[TripRecord], list[dict]]:
-    """Read a trips CSV into typed records.
+def _blocks(reader):
+    """The non-blank rows in lists of _BLOCK_ROWS; the last list is shorter,
+    possibly empty."""
+    rows = filter(None, reader)  # csv.reader gives [] for a blank line
+    while True:
+        block = list(islice(rows, _BLOCK_ROWS))
+        yield block
+        if len(block) < _BLOCK_ROWS:
+            return
+
+
+def _shape_reject(line: int, row: list[str], header: list[str]) -> dict:
+    """The reject entry of a row with more cells than the header, or too few
+    to reach every required column."""
+    width = len(header)
+    if len(row) > width:
+        reason = f"extra cells beyond the header: {row[width:]!r}"
+    else:
+        reason = f"missing value: {header[len(row)]}"
+    return {"line": line, "reason": reason,
+            "row": dict(zip(header, row + [None] * (width - len(row))))}
+
+
+def ingest_trips(source) -> tuple[TripTable, list[dict]]:
+    """Read a trips CSV into a :class:`TripTable`.
 
     Malformed rows are not dropped silently: they are returned in a
-    rejects report of {line, reason, row} entries. A missing required
-    column raises :class:`SchemaError`.
+    rejects report of {line, reason, row} entries, in line order. ``line``
+    counts the header as 1 and skips blank lines; ``row`` holds the cells
+    keyed by header, None for a cell a short row lacks. A row with more
+    cells than the header is rejected. A missing required column raises
+    :class:`SchemaError`.
     """
     close = False
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -211,49 +430,56 @@ def ingest_trips(source) -> tuple[list[TripRecord], list[dict]]:
     else:
         fh = source
     try:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in TRIPS_CSV_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"missing required columns: {missing}")
-        trips, rejects = [], []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                trips.append(_parse_trip(row))
-            except (ValueError, KeyError, TypeError) as exc:
-                rejects.append({"line": lineno, "reason": str(exc), "row": dict(row)})
-            except AttributeError:
-                # a short row: csv.DictReader fills the cells it lacks with None
-                missing = next((k for k, v in row.items() if v is None), None)
-                if missing is None:
-                    raise
-                rejects.append({"line": lineno, "reason": f"missing value: {missing}",
-                                "row": dict(row)})
-        return trips, rejects
+        width = len(header)
+        # a row may lack the cells of unused trailing columns; as in
+        # csv.DictReader, a repeated header name takes its last column
+        index = {name: i for i, name in enumerate(header)}
+        need = 1 + max(index[c] for c in TRIPS_CSV_COLUMNS)
+        parts, rejects, line = [], [], 2
+        for block in _blocks(reader):
+            lines = range(line, line + len(block))
+            line += len(block)
+            if list(map(len, block)).count(width) != len(block):
+                fits = [need <= len(row) <= width for row in block]
+                rejects += [_shape_reject(ln, row, header)
+                            for ln, row, ok in zip(lines, block, fits) if not ok]
+                lines = list(compress(lines, fits))
+                block = [row + [None] * (width - len(row)) for row in compress(block, fits)]
+            columns, reasons = _parse_rows(block, header)
+            parts.append(columns)
+            rejects += [{"line": lines[i], "reason": reason, "row": dict(zip(header, block[i]))}
+                        for i, reason in reasons.items()]
+        rejects.sort(key=itemgetter("line"))
+        table = TripTable(**{f.name: np.concatenate([p[f.name] for p in parts])
+                             for f in fields(TripTable)})
+        return table, rejects
     finally:
         if close:
             fh.close()
 
 
-def filter_trips(trips) -> tuple[list[TripRecord], list[tuple[TripRecord, str]]]:
+def filter_trips(trips: TripTable) -> tuple[TripTable, list[tuple[TripRecord, str]]]:
     """Apply the study filters: near-new vehicles and implausible speeds.
 
     Boundary values (odometer exactly 100 km, average speed exactly
-    200 km/h) are kept: the rules are strict inequalities.
+    200 km/h) are kept: the rules are strict inequalities. Discarded trips
+    come back as (TripRecord, reason) in trip order.
     """
-    kept, discarded = [], []
-    for trip in trips:
-        if trip.odometer_km < MIN_ODOMETER_KM:
-            discarded.append((trip, "new_vehicle"))
-        elif trip.distance_km / trip.duration_h > MAX_AVG_SPEED_KMH:
-            discarded.append((trip, "speed"))
-        else:
-            kept.append(trip)
-    return kept, discarded
+    new_vehicle = trips.odometer_km < MIN_ODOMETER_KM
+    speed = ~new_vehicle & (trips.distance_km / trips.duration_h > MAX_AVG_SPEED_KMH)
+    dropped = new_vehicle | speed
+    discarded = [(trips[i], "new_vehicle" if new_vehicle[i] else "speed")
+                 for i in np.flatnonzero(dropped).tolist()]
+    return trips[~dropped], discarded
 
 
 def aggregate_to_vehicle(
-    trips,
+    trips: TripTable,
     target_spec: str = "fuel_per_km",
     timezone: str = DEFAULT_TIMEZONE,
 ) -> tuple[list[VehicleAggregate], list[dict]]:
@@ -262,68 +488,79 @@ def aggregate_to_vehicle(
     ``target_spec`` selects the target: total fuel (or energy) over total
     distance. Vehicles with zero total distance cannot have a target and
     are excluded with a report entry. Output is sorted by vehicle_id.
+    Weekdays are counted in ``timezone`` for stamps with a UTC offset and
+    as written for naive ones.
     """
     if target_spec not in ("fuel_per_km", "energy_per_km"):
         raise ValueError(f"unknown target_spec: {target_spec!r}")
     tz = ZoneInfo(timezone)
-    by_vehicle: dict[str, list[TripRecord]] = {}
-    for trip in trips:
-        by_vehicle.setdefault(trip.vehicle_id, []).append(trip)
+    # np.unique(vehicle_id, return_inverse=True), by a dict: sorting every
+    # id of an object array compares them in Python, ~7x slower
+    ids = trips.vehicle_id.tolist()
+    vehicles = sorted(set(ids))
+    position = {vid: j for j, vid in enumerate(vehicles)}
+    inv = np.fromiter(map(position.__getitem__, ids), np.intp, len(ids))
+    k = len(vehicles)
+    n = np.bincount(inv, minlength=k)
+    order = np.argsort(inv, kind="stable")  # each vehicle's trips together, in trip order
+    first = np.cumsum(n) - n  # where each vehicle's trips start in `order`
+
+    def total(values):
+        return np.bincount(inv, weights=values, minlength=k)
+
+    def count(mask):
+        return np.bincount(inv[mask], minlength=k)
+
+    def extreme(ufunc, values):
+        return ufunc.reduceat(values[order], first)
+
+    group = trips.group[order[first]]
+    mixed_groups = count(trips.group != group[inv]) > 0
+
+    days = trips.start_time.astype("datetime64[D]").astype(np.int64)
+    weekday = (days + 3) % 7  # day 0, 1970-01-01, was a Thursday
+    aware = np.flatnonzero(~np.isnat(trips.start_utcoffset))
+    if aware.size:  # a naive stamp is taken as local time, so its weekday stands
+        utc = (trips.start_time[aware] - trips.start_utcoffset[aware]).tolist()
+        weekday[aware] = [t.replace(tzinfo=_UTC).astimezone(tz).weekday() for t in utc]
+    weekdays = count(weekday < 5)
+
+    distance = total(trips.distance_km)
+    spent = trips.fuel_g if target_spec == "fuel_per_km" else trips.energy_wh
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero distance: excluded below
+        covariates = np.column_stack([
+            count(trips.soc_start_pct > HIGH_SOC_START) / n,
+            count(trips.soc_end_pct < LOW_SOC_END) / n,
+            weekdays.astype(float),
+            (n - weekdays).astype(float),
+            distance / n,
+            extreme(np.maximum, trips.distance_km),
+            distance / total(trips.duration_h),
+            extreme(np.maximum, trips.max_speed_kmh),
+            total(np.where(trips.drive_mode == "hybrid", trips.distance_km, 0.0)) / distance,
+            count(trips.trailer) / n,
+            total(trips.engine_starts) / n,
+            total(trips.ambient_temp_c) / n,
+            extreme(np.minimum, trips.ambient_temp_c),
+            extreme(np.maximum, trips.ambient_temp_c),
+        ]).tolist()
+        target = (total(np.where(np.isnan(spent), 0.0, spent)) / distance).tolist()
 
     aggregates, excluded = [], []
-    for vid in sorted(by_vehicle):
-        vtrips = by_vehicle[vid]
-        n = len(vtrips)
-        total_distance = sum(t.distance_km for t in vtrips)
-        if total_distance == 0:
+    for j, vid in enumerate(vehicles):
+        if distance[j] == 0:
             excluded.append({"vehicle_id": vid, "reason": "zero_total_distance"})
             continue
-        groups = {t.group for t in vtrips}
-        if len(groups) != 1:
+        if mixed_groups[j]:
+            groups = set(trips.group[inv == j])
             raise SchemaError(f"vehicle {vid} has inconsistent group labels: {groups}")
-        total_duration = sum(t.duration_h for t in vtrips)
-        weekday = sum(
-            1 for t in vtrips
-            if _localize(t.start_time, tz).weekday() < 5
-        )
-        covariates = {
-            "share_high_soc_start": sum(t.soc_start_pct > HIGH_SOC_START for t in vtrips) / n,
-            "share_low_soc_end": sum(t.soc_end_pct < LOW_SOC_END for t in vtrips) / n,
-            "trips_weekday": float(weekday),
-            "trips_weekend": float(n - weekday),
-            "avg_trip_distance": total_distance / n,
-            "max_trip_distance": max(t.distance_km for t in vtrips),
-            "avg_trip_speed": total_distance / total_duration,
-            "max_trip_speed": max(t.max_speed_kmh for t in vtrips),
-            "share_hybrid_distance": (
-                sum(t.distance_km for t in vtrips if t.drive_mode == "hybrid")
-                / total_distance
-            ),
-            "share_trailer_trips": sum(t.trailer for t in vtrips) / n,
-            "avg_engine_starts": sum(t.engine_starts for t in vtrips) / n,
-            "avg_ambient_temp": sum(t.ambient_temp_c for t in vtrips) / n,
-            "min_ambient_temp": min(t.ambient_temp_c for t in vtrips),
-            "max_ambient_temp": max(t.ambient_temp_c for t in vtrips),
-        }
-        if target_spec == "fuel_per_km":
-            total = sum(t.fuel_g or 0.0 for t in vtrips)
-        else:
-            total = sum(t.energy_wh or 0.0 for t in vtrips)
-        aggregates.append(
-            VehicleAggregate(
-                vehicle_id=vid,
-                covariates=covariates,
-                target=total / total_distance,
-                group=next(iter(groups)),
-            )
-        )
+        aggregates.append(VehicleAggregate(
+            vehicle_id=vid,
+            covariates=dict(zip(COVARIATE_NAMES, covariates[j])),
+            target=target[j],
+            group=group[j],
+        ))
     return aggregates, excluded
-
-
-def _localize(ts: datetime, tz) -> datetime:
-    if ts.tzinfo is None:
-        return ts.replace(tzinfo=tz)
-    return ts.astimezone(tz)
 
 
 def min_max_scale(matrix, names=None) -> tuple[np.ndarray, list[tuple[float, float]]]:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from boat import bpsm
 from boat.cli import (
     RECOMMEND_BDID,
     RECOMMEND_BPSM,
@@ -162,16 +163,19 @@ class TestBpsmCommand:
         header = (out / "draws.csv").read_text().splitlines()[0]
         assert header == "alpha,beta_x1,beta_x2"
 
-    def test_nan_caliper_errors(self, tmp_path, capsys):
+    def test_nan_caliper_errors(self, tmp_path, capsys, monkeypatch):
         data = self.make_data(tmp_path)
         out = tmp_path / "run"
+        fits = []
+        monkeypatch.setattr(bpsm, "fit_propensity", lambda *args: fits.append(args))
         code = main(["bpsm", "--data", str(data), "--covariates", "x1,x2",
                      "--match", "caliper", "--caliper", "nan", "--out", str(out), *FAST])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert "caliper" in err["message"]
-        assert list(out.iterdir()) == []
+        assert err["message"] == "caliper must be > 0, got nan"
+        assert fits == []
+        assert not out.exists()
 
     def test_missing_column_errors(self, tmp_path, capsys):
         data = self.make_data(tmp_path)
@@ -217,7 +221,19 @@ class TestBpsmCommand:
         assert err["error"] == "SchemaError"
         assert f"row {row}" in err["message"]
         assert repr(column) in err["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_extra_cells_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("unit_id,group,y\n1,control,1.0\n0,treatment,1.5,7,8\n")
+        out = tmp_path / "o"
+        code = main(["bpsm", "--data", str(path), "--covariates", "y", "--out", str(out),
+                     *FAST])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["message"] == f"{path}: extra cells ['7', '8'] beyond the header (row 3)"
+        assert not out.exists()
 
 
 class TestBdidCommand:
@@ -393,7 +409,7 @@ class TestFitCommand:
         assert err["error"] == "SchemaError"
         assert f"(row {len(rows)})" in err["message"]
         assert repr(column) in err["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_parser_flags_and_defaults(self):
         sampler = {"draws": 3000, "warmup": 200, "chains": 2, "seed": 0,

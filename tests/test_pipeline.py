@@ -1,12 +1,22 @@
+import csv
 import io
+import math
+from datetime import datetime, timedelta, timezone
+from unittest import mock
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boat import pipeline
 from boat.errors import ContractError, ScalingError, SchemaError
 from boat.pipeline import (
     COVARIATE_NAMES,
     TRIPS_CSV_COLUMNS,
+    TripRecord,
+    VehicleAggregate,
     aggregate_to_vehicle,
     build_design,
     filter_trips,
@@ -105,7 +115,7 @@ class TestIngest:
         cells = FIVE_TRIPS[0].split(",")
         cells[TRIPS_CSV_COLUMNS.index("distance_km")] = "inf"
         trips, rejects = ingest_trips(csv_source([",".join(cells)]))
-        assert trips == []
+        assert len(trips) == 0
         assert rejects[0]["reason"] == "distance_km is not finite"
 
     def test_earlier_check_keeps_its_reason_over_non_finite(self):
@@ -123,10 +133,49 @@ class TestIngest:
         assert [t.vehicle_id for t in trips] == [FIVE_TRIPS[1].split(",")[0]]
         assert [(r["line"], r["reason"]) for r in rejects] == [(2, "missing value: group")]
 
+    def test_long_row_rejected_naming_its_extra_cells(self):
+        trips, rejects = ingest_trips(csv_source([FIVE_TRIPS[0] + ",7,8", FIVE_TRIPS[1]]))
+        assert len(trips) == 1 and trips[0].distance_km == 30.0
+        assert [(r["line"], r["reason"]) for r in rejects] == [
+            (2, "extra cells beyond the header: ['7', '8']")]
+        assert rejects[0]["row"] == dict(zip(TRIPS_CSV_COLUMNS, FIVE_TRIPS[0].split(",")))
+
+    def test_row_may_lack_only_unused_trailing_cells(self):
+        # the header's extra "notes" column is not required
+        source = io.StringIO(f"{HEADER},notes\n{FIVE_TRIPS[0]}\n{FIVE_TRIPS[1]},late\n")
+        trips, rejects = ingest_trips(source)
+        assert len(trips) == 2 and rejects == []
+
+    def test_engine_starts_beyond_int64_rejected(self):
+        cells = FIVE_TRIPS[0].split(",")
+        cells[TRIPS_CSV_COLUMNS.index("engine_starts")] = str(2**63)
+        _, rejects = ingest_trips(csv_source([",".join(cells)]))
+        assert rejects[0]["reason"] == f"integer beyond the int64 range: '{2**63}'"
+
     def test_duration_within_one_second_tolerated(self):
         row = "v1,2024-03-04T08:00:00,2024-03-04T09:00:00,50,1.0002,4000,,90,15,10,2,0,hybrid,1000,100,treatment"
         trips, rejects = ingest_trips(csv_source([row]))
         assert len(trips) == 1 and rejects == []
+
+
+class TestTripTable:
+    def test_int_index_gives_record_and_others_give_tables(self):
+        trips = trips_from(FIVE_TRIPS)
+        assert trips[-1] == trips[4] == trips_from(FIVE_TRIPS[4:])[0]
+        assert list(trips)[2] == trips[2]
+        with pytest.raises(IndexError):
+            trips[5]
+        assert [t.distance_km for t in trips[::-2]] == [60.0, 80.0, 50.0]
+        assert [t.distance_km for t in trips[trips.distance_km > 50]] == [80.0, 60.0]
+        assert [t.distance_km for t in trips[np.array([3, 0])]] == [40.0, 50.0]
+
+    def test_offset_stamps_round_trip(self):
+        row = (FIVE_TRIPS[0].replace("T08:00:00", "T09:30:00+01:30")
+               .replace("T09:00:00", "T09:00:00+00:00"))
+        (trip,) = trips_from([row])
+        assert trip.start_time == datetime.fromisoformat("2024-03-04T09:30:00+01:30")
+        assert trip.start_time.utcoffset() == timedelta(hours=1, minutes=30)
+        assert trip.end_time.utcoffset() == timedelta(0)
 
 
 class TestFilter:
@@ -139,7 +188,7 @@ class TestFilter:
 
     def test_new_vehicle_dropped(self):
         kept, discarded = filter_trips(self.make(99.9, 50, 1.0))
-        assert kept == []
+        assert len(kept) == 0
         assert discarded[0][1] == "new_vehicle"
 
     def test_odometer_boundary_kept(self):
@@ -148,7 +197,7 @@ class TestFilter:
 
     def test_speed_dropped(self):
         kept, discarded = filter_trips(self.make(500, 201, 1.0))
-        assert kept == []
+        assert len(kept) == 0
         assert discarded[0][1] == "speed"
 
     def test_speed_boundary_kept(self):
@@ -292,3 +341,312 @@ class TestBuildDesign:
                 unit_ids=np.arange(2), X=np.zeros((2, 1)), t=np.array([0, 2]),
                 y=np.zeros(2), covariate_names=["x"],
             )
+
+
+# --------------------------------------------------------------------------
+# Reference: the row-by-row reader and aggregator that the columnar ones
+# replaced, kept as oracles. The reader differs from the old one only in its
+# first two checks: a row with more cells than the header, and a row lacking
+# a required cell, are rejected before any cell is read.
+
+
+def _reference_bool(raw):
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes"):
+        return True
+    if low in ("0", "false", "no", ""):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _reference_parse_trip(row):
+    start = datetime.fromisoformat(row["start_time"])
+    end = datetime.fromisoformat(row["end_time"])
+    if end <= start:
+        raise ValueError("end_time must be after start_time")
+    duration_h = float(row["duration_h"])
+    if duration_h <= 0:
+        raise ValueError("duration_h must be > 0")
+    if abs((end - start).total_seconds() - duration_h * 3600.0) > 1.0:
+        raise ValueError("duration_h inconsistent with timestamps (> 1 s off)")
+    fuel = float(row["fuel_g"]) if row["fuel_g"].strip() else None
+    energy = float(row["energy_wh"]) if row["energy_wh"].strip() else None
+    if fuel is None and energy is None:
+        raise ValueError("one of fuel_g / energy_wh is required")
+    soc_start = float(row["soc_start_pct"])
+    soc_end = float(row["soc_end_pct"])
+    if not (0 <= soc_start <= 100 and 0 <= soc_end <= 100):
+        raise ValueError("state of charge must be in [0, 100]")
+    distance = float(row["distance_km"])
+    odometer = float(row["odometer_km"])
+    max_speed = float(row["max_speed_kmh"])
+    engine_starts = int(row["engine_starts"])
+    for name, value in (
+        ("distance_km", distance),
+        ("odometer_km", odometer),
+        ("max_speed_kmh", max_speed),
+        ("engine_starts", engine_starts),
+    ):
+        if value < 0:
+            raise ValueError(f"negative value in a non-negative field: {name}")
+    for name, value in (("fuel_g", fuel), ("energy_wh", energy)):
+        if value is not None and value < 0:
+            raise ValueError(f"negative fuel/energy: {name}")
+    ambient_temp = float(row["ambient_temp_c"])
+    trailer = _reference_bool(row["trailer"])
+    for name, value in (
+        ("distance_km", distance),
+        ("duration_h", duration_h),
+        ("odometer_km", odometer),
+        ("max_speed_kmh", max_speed),
+        ("ambient_temp_c", ambient_temp),
+        ("fuel_g", fuel),
+        ("energy_wh", energy),
+    ):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} is not finite")
+    return TripRecord(
+        vehicle_id=row["vehicle_id"],
+        start_time=start,
+        end_time=end,
+        distance_km=distance,
+        duration_h=duration_h,
+        fuel_g=fuel,
+        energy_wh=energy,
+        soc_start_pct=soc_start,
+        soc_end_pct=soc_end,
+        ambient_temp_c=ambient_temp,
+        engine_starts=engine_starts,
+        trailer=trailer,
+        drive_mode=row["drive_mode"].strip(),
+        odometer_km=odometer,
+        max_speed_kmh=max_speed,
+        group=row["group"].strip(),
+    )
+
+
+def reference_ingest(fh):
+    reader = csv.DictReader(fh)
+    trips, rejects = [], []
+    for lineno, row in enumerate(reader, start=2):
+        extra = row.pop(None, None)
+        missing = next((k for k, v in row.items() if v is None), None)
+        if extra is not None:
+            reason = f"extra cells beyond the header: {extra!r}"
+        elif any(row[c] is None for c in TRIPS_CSV_COLUMNS):
+            reason = f"missing value: {missing}"
+        else:
+            try:
+                trips.append(_reference_parse_trip(row))
+                continue
+            except (ValueError, TypeError) as exc:
+                reason = str(exc)
+        rejects.append({"line": lineno, "reason": reason, "row": row})
+    return trips, rejects
+
+
+def _reference_localize(ts, tz):
+    if ts.tzinfo is None:
+        return ts.replace(tzinfo=tz)
+    return ts.astimezone(tz)
+
+
+def reference_aggregate(trips, target_spec="fuel_per_km", timezone="Europe/Stockholm"):
+    tz = ZoneInfo(timezone)
+    by_vehicle = {}
+    for trip in trips:
+        by_vehicle.setdefault(trip.vehicle_id, []).append(trip)
+    aggregates, excluded = [], []
+    for vid in sorted(by_vehicle):
+        vtrips = by_vehicle[vid]
+        n = len(vtrips)
+        total_distance = sum(t.distance_km for t in vtrips)
+        if total_distance == 0:
+            excluded.append({"vehicle_id": vid, "reason": "zero_total_distance"})
+            continue
+        groups = {t.group for t in vtrips}
+        if len(groups) != 1:
+            raise SchemaError(f"vehicle {vid} has inconsistent group labels: {groups}")
+        total_duration = sum(t.duration_h for t in vtrips)
+        weekday = sum(1 for t in vtrips if _reference_localize(t.start_time, tz).weekday() < 5)
+        covariates = {
+            "share_high_soc_start": sum(t.soc_start_pct > 80.0 for t in vtrips) / n,
+            "share_low_soc_end": sum(t.soc_end_pct < 21.0 for t in vtrips) / n,
+            "trips_weekday": float(weekday),
+            "trips_weekend": float(n - weekday),
+            "avg_trip_distance": total_distance / n,
+            "max_trip_distance": max(t.distance_km for t in vtrips),
+            "avg_trip_speed": total_distance / total_duration,
+            "max_trip_speed": max(t.max_speed_kmh for t in vtrips),
+            "share_hybrid_distance": (
+                sum(t.distance_km for t in vtrips if t.drive_mode == "hybrid")
+                / total_distance
+            ),
+            "share_trailer_trips": sum(t.trailer for t in vtrips) / n,
+            "avg_engine_starts": sum(t.engine_starts for t in vtrips) / n,
+            "avg_ambient_temp": sum(t.ambient_temp_c for t in vtrips) / n,
+            "min_ambient_temp": min(t.ambient_temp_c for t in vtrips),
+            "max_ambient_temp": max(t.ambient_temp_c for t in vtrips),
+        }
+        if target_spec == "fuel_per_km":
+            total = sum(t.fuel_g or 0.0 for t in vtrips)
+        else:
+            total = sum(t.energy_wh or 0.0 for t in vtrips)
+        aggregates.append(VehicleAggregate(vehicle_id=vid, covariates=covariates,
+                                           target=total / total_distance,
+                                           group=next(iter(groups))))
+    return aggregates, excluded
+
+
+# --------------------------------------------------------------------------
+# Generated trip files: mostly valid rows, with cells swapped for bad values,
+# timestamps swapped or off, offset stamps among naive ones, and short, long
+# and blank rows.
+
+BASE_TIME = datetime(2024, 3, 4, 8, 0)  # a Monday
+ZONES = {"": None, "+00:00": timezone.utc, "+01:00": timezone(timedelta(hours=1)),
+         "-05:30": timezone(timedelta(hours=-5, minutes=-30))}
+BAD_CELLS = ["", " ", "nan", "inf", "-inf", "n/a", "-3", "-0.0", "150", "2.5", "7",
+             " 12 ", "yes", "2024-03-04T07:00:00", "2024-03-09T23:30:00Z",
+             "2024-03-04T09:00:00+02:00", "2024-13-01"]
+
+
+@st.composite
+def trip_lines(draw):
+    vid = draw(st.sampled_from(["a", "b", "c", " a"]))
+    # late and early hours, so that zones move some stamps across midnight
+    start = BASE_TIME.replace(hour=draw(st.sampled_from([0, 2, 8, 13, 20, 23]))) + timedelta(
+        days=draw(st.integers(-3, 20)), minutes=draw(st.integers(0, 59)))
+    start = start.replace(tzinfo=ZONES[draw(st.sampled_from(sorted(ZONES)))])
+    # a whole number of quarter hours is exact in binary, so the span can be
+    # off by exactly the 1 s tolerance
+    duration_h = draw(st.integers(1, 40)) / 4
+    end = start + timedelta(seconds=duration_h * 3600
+                            + draw(st.sampled_from([0, 0, 0, 0.5, 1, -1, 1.5, -7])))
+    if start.tzinfo is not None:
+        end = end.astimezone(ZONES[draw(st.sampled_from(sorted(ZONES)[1:]))])
+    stamps = [start.isoformat(), end.isoformat()]
+    if draw(st.integers(0, 9)) == 0:
+        stamps.reverse()
+    number = st.floats(0, 500, allow_nan=False).map(lambda x: repr(round(x, 3)))
+    fuel, energy = draw(st.sampled_from([("f", ""), ("", "e"), ("f", "e"), ("", "")]))
+    cells = [
+        vid, *stamps, draw(st.sampled_from(["0", "0.0"]) | number), repr(duration_h),
+        draw(number) if fuel else fuel, draw(number) if energy else energy,
+        draw(st.floats(0, 100).map(repr)), draw(st.floats(0, 100).map(repr)),
+        draw(st.floats(-30, 40).map(lambda x: repr(round(x, 1)))),
+        str(draw(st.integers(0, 6))),
+        draw(st.sampled_from(["0", "1", "yes", "no", " TRUE ", "false", ""])),
+        draw(st.sampled_from(["hybrid", "electric", " hybrid "])), draw(number), draw(number),
+        {"a": "treatment", " a": "treatment"}.get(vid, "control"),
+    ]
+    for at, value in draw(st.lists(st.tuples(st.integers(0, 15), st.sampled_from(BAD_CELLS)),
+                                   max_size=2)):
+        cells[at] = value
+    shape = draw(st.sampled_from(["whole"] * 12 + ["short", "long", "blank"]))
+    if shape == "short":
+        cells = cells[: draw(st.integers(1, 15))]
+    elif shape == "long":
+        cells += draw(st.lists(st.sampled_from(["7", "", "x"]), min_size=1, max_size=2))
+    elif shape == "blank":
+        cells = []
+    return ",".join(cells)
+
+
+def _stamped(trips):
+    # TripRecord equality compares aware stamps by instant; the offset must match too
+    return [(t, t.start_time.utcoffset(), t.end_time.utcoffset()) for t in trips]
+
+
+def _aggregate_outcome(aggregate, trips, **kwargs):
+    try:
+        aggs, excluded = aggregate(trips, **kwargs)
+    except SchemaError as exc:  # the label set's order in the text is a set's
+        return str(exc).split(" has ")[0], None
+    return [(a.vehicle_id, a.group, a.covariates, a.target) for a in aggs], excluded
+
+
+def assert_matches_reference(text, **aggregate_kwargs):
+    table, rejects = ingest_trips(io.StringIO(text))
+    trips, expected_rejects = reference_ingest(io.StringIO(text))
+    assert rejects == expected_rejects
+    assert _stamped(table) == _stamped(trips)
+    got = _aggregate_outcome(aggregate_to_vehicle, table, **aggregate_kwargs)
+    want = _aggregate_outcome(reference_aggregate, trips, **aggregate_kwargs)
+    if want[1] is None:
+        assert got == want
+        return
+    assert got[1] == want[1]
+    assert [a[:2] for a in got[0]] == [a[:2] for a in want[0]]
+    for (*_, cov, target), (*_, want_cov, want_target) in zip(got[0], want[0]):
+        assert cov == pytest.approx(want_cov, rel=1e-12)
+        assert target == pytest.approx(want_target, rel=1e-12)
+
+
+# One violation of each row check: (column, value) edits to FIVE_TRIPS[0].
+VIOLATIONS = [
+    [("start_time", "2024-03-04 8h")],
+    [("end_time", "2024-13-04T09:00:00")],
+    [("start_time", "2024-03-04T08:00:00+00:00")],
+    [("end_time", "2024-03-04T08:00:00")],  # equal to start_time
+    [("duration_h", "n/a")],
+    [("duration_h", "-1")],
+    [("duration_h", "2.5")],
+    [("fuel_g", "x")],
+    [("energy_wh", "-0.5e-3")],
+    [("fuel_g", " "), ("energy_wh", "")],
+    [("soc_start_pct", "lots")],
+    [("soc_end_pct", "100.5")],
+    [("distance_km", "-2")],
+    [("odometer_km", "")],
+    [("max_speed_kmh", "-inf")],
+    [("engine_starts", "2.0")],
+    [("engine_starts", "-1")],
+    [("fuel_g", "-1")],
+    [("ambient_temp_c", "warm")],
+    [("trailer", "maybe")],
+    [("distance_km", "inf")],
+    [("duration_h", "nan")],
+    [("ambient_temp_c", "-inf")],
+    [("energy_wh", "nan")],
+]
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("first", range(len(VIOLATIONS)))
+    def test_first_failed_check_names_the_reason(self, first):
+        # every ordered pair of violations in one row: the check order decides
+        for second in VIOLATIONS:
+            cells = FIVE_TRIPS[0].split(",")
+            for column, value in VIOLATIONS[first] + second:
+                cells[TRIPS_CSV_COLUMNS.index(column)] = value
+            assert_matches_reference(f"{HEADER}\n{','.join(cells)}\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(trip_lines(), max_size=30),
+           block_rows=st.sampled_from([1, 2, 3, 8192]),
+           target_spec=st.sampled_from(["fuel_per_km", "energy_per_km"]),
+           zone=st.sampled_from(["Europe/Stockholm", "UTC", "America/New_York"]))
+    def test_generated_files(self, lines, block_rows, target_spec, zone):
+        # small blocks put rows of every kind across block boundaries
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            assert_matches_reference("\n".join([HEADER, *lines]) + "\n",
+                                     target_spec=target_spec, timezone=zone)
+
+    def test_file_longer_than_one_block(self):
+        block = pipeline._BLOCK_ROWS
+        rows = [FIVE_TRIPS[i % 5].replace("v1", f"v{i % 7}") for i in range(block + 8)]
+        bad = FIVE_TRIPS[0].split(",")
+        bad[TRIPS_CSV_COLUMNS.index("distance_km")] = "n/a"
+        # a blank line is not a row, so the short row ends the first block
+        # and the row with one offset stamp starts the second
+        rows[block - 3] = ",".join(bad)
+        rows[block - 2] = FIVE_TRIPS[1] + ",7"
+        rows[block - 1] = ""
+        rows[block] = FIVE_TRIPS[2].rsplit(",", 3)[0]
+        rows[block + 1] = FIVE_TRIPS[3].replace("T09:00:00", "T09:00:00+01:00")
+        text = "\n".join([HEADER, *rows]) + "\n"
+        assert_matches_reference(text)
+        table, rejects = ingest_trips(io.StringIO(text))
+        assert len(table) == len(rows) - 5
+        assert [r["line"] for r in rejects] == [block - 1, block, block + 1, block + 2]
