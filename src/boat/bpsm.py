@@ -27,7 +27,7 @@ from .effects import ATEEstimate
 from .errors import ContractError, EstimationError, PositivityError
 from .nuts import PosteriorSamples, SamplerConfig, sample
 from .pipeline import DesignMatrix
-from .prob_core import ModelSpec, PriorSpec, sigmoid
+from .prob_core import PROB_FLOOR, ModelSpec, PriorSpec, sigmoid
 
 __all__ = [
     "PropensityScores",
@@ -125,11 +125,10 @@ def propensity_scores(
         )
     flat = posterior.draws.reshape(-1, posterior.draws.shape[2])
     mean_params = flat.mean(axis=0)
-    eps = 1e-12
 
     def scores_at(params):
         eta = params[0] + data.X @ params[1:]
-        return np.clip(sigmoid(eta), eps, 1 - eps)
+        return np.clip(sigmoid(eta), PROB_FLOOR, 1 - PROB_FLOOR)
 
     draw_scores = None
     if n_uncertainty_draws:

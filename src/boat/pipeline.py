@@ -552,7 +552,7 @@ def aggregate_to_vehicle(
             excluded.append({"vehicle_id": vid, "reason": "zero_total_distance"})
             continue
         if mixed_groups[j]:
-            groups = set(trips.group[inv == j])
+            groups = sorted(set(trips.group[inv == j]))
             raise SchemaError(f"vehicle {vid} has inconsistent group labels: {groups}")
         aggregates.append(VehicleAggregate(
             vehicle_id=vid,

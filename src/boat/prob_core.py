@@ -19,6 +19,23 @@ with G = D^T D and RSS0 = ||r0||^2. An evaluation then costs O(k^2)
 whatever n is. RSS0 is summed row by row once, so this form keeps the
 accuracy that y^T y - 2 b^T D^T y + b^T G b loses when y has a large
 offset. b_hat from ``lstsq`` also covers a rank-deficient D.
+
+The ``logistic`` family is O(n k) per evaluation and shares its work
+between the two callables:
+
+- :func:`sigmoid` takes one exponential per element: with e = exp(-|z|)
+  and d = 1 + e it is 1/d where z >= 0 and e/d elsewhere. Neither branch
+  can overflow, and each element gets the same float operations as the
+  masked two-branch form 1/(1 + exp(-z)), exp(z)/(1 + exp(z)).
+- The log-likelihood sums where(t == 1, log p, log1p(-p)) with p clipped
+  into [PROB_FLOOR, 1 - PROB_FLOOR]. The clip keeps both logs finite, so
+  this equals t log p + (1 - t) log1p(-p) bit for bit.
+- The probabilities p = sigmoid(alpha + X beta) are memoised on the
+  prepared model, one slot keyed on the bytes of the parameter vector.
+  The sampler asks for the gradient and then the density at the same
+  leaf, so the second call skips the O(n k) product and the sigmoid. The
+  memo, not a fused density-and-gradient function, keeps both values
+  bit-identical while the sampler still calls the two functions apart.
 """
 
 from __future__ import annotations
@@ -107,13 +124,12 @@ class ModelSpec:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise (see the module
+    docstring for its form)."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    out = np.where(z >= 0, 1.0 / d, e / d)
     return out if out.ndim else float(out)
 
 
@@ -171,10 +187,11 @@ def _predictor_matrix(model: ModelSpec, data) -> np.ndarray:
 class PreparedModel:
     """A model with its data reduced once to what an evaluation reads.
 
-    ``logistic`` keeps the predictor matrix ``X`` and ``t`` as floats. The
-    linear families keep no per-row array: the row count ``n``, the Gram
-    matrix ``gram`` = D^T D of D = [1, C], a least-squares solution
-    ``b_hat`` and its residual sum of squares ``rss0``.
+    ``logistic`` keeps the predictor matrix ``X``, ``t`` as floats, the mask
+    ``t_mask`` = (t == 1) and a one-slot memo of the last probabilities
+    (:func:`_probabilities`). The linear families keep no per-row array:
+    the row count ``n``, the Gram matrix ``gram`` = D^T D of D = [1, C], a
+    least-squares solution ``b_hat`` and its residual sum of squares ``rss0``.
     """
 
     model: ModelSpec
@@ -186,8 +203,11 @@ class PreparedModel:
     gram: np.ndarray | None = None
     b_hat: np.ndarray | None = None
     rss0: float = 0.0
+    # (parameter bytes, read-only p); replaced whole, never mutated
+    _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        self.t_mask = None if self.t is None else self.t == 1.0
         self.prior_var = self.prior_scales**2
         self.prior_lognorm = -0.5 * np.log(2.0 * np.pi) - np.log(self.prior_scales)
         noise = None if self.model.family == "logistic" else self.model.priors.noise_prior
@@ -274,6 +294,19 @@ def _prior_logdensity(prep: PreparedModel, b, log_sigma) -> float:
     return float(total)
 
 
+def _probabilities(prep: PreparedModel, b) -> np.ndarray:
+    """sigmoid(alpha + X beta) for the logistic coefficients ``b``, reused
+    when the previous call on ``prep`` had the same parameter bytes."""
+    key = b.tobytes()
+    memo = prep._memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    p = sigmoid(b[0] + prep.X @ b[1:])
+    p.flags.writeable = False
+    prep._memo = (key, p)
+    return p
+
+
 def log_posterior(model: ModelSpec, data, params) -> float:
     """Unnormalised log-posterior in the unconstrained parameterization.
 
@@ -289,8 +322,8 @@ def log_posterior(model: ModelSpec, data, params) -> float:
         if prep.n == 0:
             return total if np.isfinite(total) else -np.inf
         if log_sigma is None:
-            p = np.clip(sigmoid(b[0] + prep.X @ b[1:]), PROB_FLOOR, 1.0 - PROB_FLOOR)
-            total += float(np.sum(prep.t * np.log(p) + (1.0 - prep.t) * np.log1p(-p)))
+            p = np.clip(_probabilities(prep, b), PROB_FLOOR, 1.0 - PROB_FLOOR)
+            total += float(np.where(prep.t_mask, np.log(p), np.log1p(-p)).sum())
         else:
             sigma = np.exp(log_sigma)
             if not np.isfinite(sigma) or sigma == 0.0:
@@ -309,7 +342,7 @@ def log_posterior_grad(model: ModelSpec, data, params) -> np.ndarray:
         g = -b / prep.prior_var
         if log_sigma is None:
             if prep.n:
-                resid = prep.t - sigmoid(b[0] + prep.X @ b[1:])
+                resid = prep.t - _probabilities(prep, b)
                 g[0] += float(np.sum(resid))
                 g[1:] += prep.X.T @ resid
             return g

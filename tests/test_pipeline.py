@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 from zoneinfo import ZoneInfo
@@ -260,6 +263,27 @@ class TestAggregate:
         with pytest.raises(SchemaError):
             aggregate_to_vehicle(trips_from(rows))
 
+    def test_inconsistent_group_message_ignores_string_hashing(self):
+        script = "\n".join([
+            "import io, sys",
+            "from boat.errors import SchemaError",
+            "from boat.pipeline import aggregate_to_vehicle, ingest_trips",
+            "trips, _ = ingest_trips(io.StringIO(sys.stdin.read()))",
+            "try:",
+            "    aggregate_to_vehicle(trips)",
+            "except SchemaError as exc:",
+            "    print(exc)",
+        ])
+        text = csv_source([FIVE_TRIPS[0], FIVE_TRIPS[1].replace("treatment", "control")])
+        src_dir = os.path.dirname(os.path.dirname(pipeline.__file__))
+        messages = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src_dir)
+            run = subprocess.run([sys.executable, "-c", script], input=text.getvalue(),
+                                 env=env, capture_output=True, text=True, check=True)
+            messages.add(run.stdout.strip())
+        assert messages == {"vehicle v1 has inconsistent group labels: ['control', 'treatment']"}
+
     def test_sorted_by_vehicle_id(self):
         rows = [
             FIVE_TRIPS[0].replace("v1", "vB"),
@@ -464,7 +488,7 @@ def reference_aggregate(trips, target_spec="fuel_per_km", timezone="Europe/Stock
         if total_distance == 0:
             excluded.append({"vehicle_id": vid, "reason": "zero_total_distance"})
             continue
-        groups = {t.group for t in vtrips}
+        groups = sorted({t.group for t in vtrips})
         if len(groups) != 1:
             raise SchemaError(f"vehicle {vid} has inconsistent group labels: {groups}")
         total_duration = sum(t.duration_h for t in vtrips)
@@ -561,8 +585,8 @@ def _stamped(trips):
 def _aggregate_outcome(aggregate, trips, **kwargs):
     try:
         aggs, excluded = aggregate(trips, **kwargs)
-    except SchemaError as exc:  # the label set's order in the text is a set's
-        return str(exc).split(" has ")[0], None
+    except SchemaError as exc:
+        return str(exc), None
     return [(a.vehicle_id, a.group, a.covariates, a.target) for a in aggs], excluded
 
 

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boat import nuts, prob_core
 from boat.errors import ContractError
 from boat.pipeline import DesignMatrix
 from boat.prob_core import (
+    PROB_FLOOR,
     ModelSpec,
     PreparedModel,
     PriorSpec,
@@ -59,6 +62,57 @@ class TestSigmoid:
     def test_symmetry(self):
         for z in np.linspace(-30, 30, 61):
             assert sigmoid(z) + sigmoid(-z) == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_sigmoid(z):
+    """The masked two-branch logistic function, evaluated branch by branch."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out if out.ndim else float(out)
+
+
+def same_floats(a, b):
+    """Equal element for element, NaN matching NaN whatever its sign bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan], b[~nan]))
+
+
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 800.0, -800.0,
+         1e-300, -1e-300, 36.7, -36.7, 709.8, -709.8, 5e-324, -5e-324]
+
+
+class TestSigmoidMatchesMaskedForm:
+    def test_edge_values(self):
+        z = np.array(EDGES)
+        assert same_floats(sigmoid(z), reference_sigmoid(z))
+        for v in EDGES:
+            got, want = sigmoid(v), reference_sigmoid(v)
+            assert type(got) is float
+            assert got == want or (math.isnan(got) and math.isnan(want))
+        assert sigmoid(-0.0) == 0.5 and sigmoid(np.inf) == 1.0 and sigmoid(-np.inf) == 0.0
+
+    def test_two_dimensional_input(self):
+        z = np.random.default_rng(4).normal(0, 40, (7, 5))
+        z[0, :] = EDGES[:5]
+        got = sigmoid(z)
+        assert got.shape == (7, 5)
+        assert same_floats(got, reference_sigmoid(z))
+
+    def test_zero_dimensional_input_returns_float(self):
+        got = sigmoid(np.array(-3.25))
+        assert type(got) is float and got == reference_sigmoid(-3.25)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+    def test_any_floats(self, values):
+        z = np.array(values, dtype=float)
+        assert same_floats(sigmoid(z), reference_sigmoid(z))
 
 
 class TestNormalLogpdf:
@@ -362,3 +416,116 @@ def test_sample_routes_every_evaluation_through_nuts_module_functions(family, mo
     nuts.sample(model, dm, cfg=nuts.SamplerConfig(draws=30, warmup=10, chains=2, seed=0))
     assert calls["log_posterior"] > 0 and calls["log_posterior_grad"] > 0
     assert calls["log_posterior"] + calls["log_posterior_grad"] == splits[0]
+
+
+def reference_logistic_log_posterior(prep, params):
+    """Log-posterior with t log p + (1 - t) log1p(-p) over the masked sigmoid."""
+    b = np.asarray(params, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        total = prob_core._prior_logdensity(prep, b, None)
+        if prep.n:
+            p = np.clip(reference_sigmoid(b[0] + prep.X @ b[1:]), PROB_FLOOR, 1.0 - PROB_FLOOR)
+            total += float(np.sum(prep.t * np.log(p) + (1.0 - prep.t) * np.log1p(-p)))
+    return total if np.isfinite(total) else -np.inf
+
+
+def reference_logistic_grad(prep, params):
+    b = np.asarray(params, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = -b / prep.prior_var
+        if prep.n:
+            resid = prep.t - reference_sigmoid(b[0] + prep.X @ b[1:])
+            g[0] += float(np.sum(resid))
+            g[1:] += prep.X.T @ resid
+    return g
+
+
+def logistic_case(n, k, t_kind, seed):
+    rng = np.random.default_rng(seed)
+    t = {"mixed": rng.integers(0, 2, n), "zeros": np.zeros(n, dtype=int),
+         "ones": np.ones(n, dtype=int)}[t_kind]
+    dm = DesignMatrix(
+        unit_ids=np.arange(n), X=rng.normal(0, rng.choice([0.1, 1.0, 10.0]), (n, k)),
+        t=t, y=np.zeros(n), covariate_names=[f"c{j}" for j in range(k)],
+    )
+    return ModelSpec("logistic", PriorSpec(1.0, 0.7, noise_prior=None)), dm, rng
+
+
+class TestLogisticMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 300), k=st.integers(1, 14),
+           t_kind=st.sampled_from(["mixed", "zeros", "ones"]),
+           scale=st.sampled_from([1e-3, 0.1, 1.0, 10.0, 100.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical(self, n, k, t_kind, scale, seed):
+        model, dm, rng = logistic_case(n, k, t_kind, seed)
+        prep = prepare(model, dm)
+        for _ in range(3):
+            q = rng.normal(0, scale, k + 1)
+            want_logp = reference_logistic_log_posterior(prep, q)
+            want_grad = reference_logistic_grad(prep, q)
+            # gradient then density, as a tree leaf asks, and the reverse order
+            assert np.array_equal(log_posterior_grad(model, prep, q), want_grad)
+            assert log_posterior(model, prep, q) == want_logp
+            fresh = prepare(model, dm)
+            assert log_posterior(model, fresh, q) == want_logp
+            assert np.array_equal(log_posterior_grad(model, fresh, q), want_grad)
+
+
+class TestProbabilityMemo:
+    def setup_method(self):
+        self.model, self.dm, rng = logistic_case(50, 4, "mixed", 11)
+        self.q, self.q2 = rng.normal(0, 1, 5), rng.normal(0, 1, 5)
+
+    def fresh(self, fn, q, dm=None):
+        return fn(self.model, prepare(self.model, self.dm if dm is None else dm), q)
+
+    def test_one_sigmoid_per_point(self, monkeypatch):
+        calls = [0]
+        real = prob_core.sigmoid
+
+        def counting(z):
+            calls[0] += 1
+            return real(z)
+
+        monkeypatch.setattr(prob_core, "sigmoid", counting)
+        prep = prepare(self.model, self.dm)
+        log_posterior_grad(self.model, prep, self.q)
+        log_posterior(self.model, prep, self.q)
+        assert calls[0] == 1
+        log_posterior(self.model, prep, self.q2)
+        assert calls[0] == 2
+
+    def test_other_point_after_gradient(self):
+        prep = prepare(self.model, self.dm)
+        log_posterior_grad(self.model, prep, self.q)
+        assert log_posterior(self.model, prep, self.q2) == self.fresh(log_posterior, self.q2)
+        assert np.array_equal(log_posterior_grad(self.model, prep, self.q),
+                              self.fresh(log_posterior_grad, self.q))
+
+    def test_array_mutated_in_place(self):
+        prep = prepare(self.model, self.dm)
+        q = self.q.copy()
+        log_posterior_grad(self.model, prep, q)
+        q[2] += 0.5
+        assert log_posterior(self.model, prep, q) == self.fresh(log_posterior, q.copy())
+        q[0] = -q[0]
+        assert np.array_equal(log_posterior_grad(self.model, prep, q),
+                              self.fresh(log_posterior_grad, q.copy()))
+
+    def test_two_models_in_alternation(self):
+        _, other_dm, _ = logistic_case(50, 4, "mixed", 12)
+        a, b = prepare(self.model, self.dm), prepare(self.model, other_dm)
+        for fn in (log_posterior_grad, log_posterior, log_posterior_grad):
+            for prep, dm in ((a, self.dm), (b, other_dm), (a, self.dm)):
+                assert same_floats(fn(self.model, prep, self.q),
+                                   self.fresh(fn, self.q, dm))
+        assert log_posterior(self.model, a, self.q) != log_posterior(self.model, b, self.q)
+
+    def test_list_and_int_parameters(self):
+        prep = prepare(self.model, self.dm)
+        ints = [1, 0, -2, 3, 0]
+        for q in (ints, np.array(ints), np.array(ints, dtype=np.int32)):
+            assert log_posterior(self.model, prep, q) == self.fresh(log_posterior, np.array(ints, float))
+            assert np.array_equal(log_posterior_grad(self.model, prep, q),
+                                  self.fresh(log_posterior_grad, np.array(ints, float)))
