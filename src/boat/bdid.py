@@ -15,7 +15,7 @@ import numpy as np
 from .effects import ATEEstimate, from_draws
 from .errors import ContractError, InsufficientDataError
 from .nuts import PosteriorSamples, SamplerConfig, sample
-from .pipeline import DesignMatrix
+from .pipeline import DesignMatrix, reject_non_finite
 from .prob_core import ModelSpec, PriorSpec
 
 __all__ = [
@@ -45,7 +45,10 @@ class PanelDataset:
         self.unit_ids = np.asarray(self.unit_ids)
         self.y_pre = np.asarray(self.y_pre, dtype=float)
         self.y_post = np.asarray(self.y_post, dtype=float)
-        self.treated = np.asarray(self.treated).astype(bool)
+        self.treated = np.asarray(self.treated)
+        if self.treated.dtype.kind == "f":
+            reject_non_finite("treated", self.treated)
+        self.treated = self.treated.astype(bool)
         n = len(self.unit_ids)
         if not (len(self.y_pre) == len(self.y_post) == len(self.treated) == n):
             raise ContractError("panel columns must all have one entry per unit")
@@ -53,6 +56,8 @@ class PanelDataset:
             raise ContractError("both groups must be non-empty")
         if (self.X_pre is None) != (self.X_post is None):
             raise ContractError("covariates must be given for both periods or neither")
+        for name in ("y_pre", "y_post", "X_pre", "X_post"):
+            reject_non_finite(name, getattr(self, name), self.covariate_names)
 
 
 def _long_format(panel: PanelDataset) -> DesignMatrix:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import ATEEstimate, from_draws
-from .errors import ContractError, EstimationError, InsufficientDataError
+from .errors import ContractError, EstimationError, InsufficientDataError, SchemaError
 from .nuts import PosteriorSamples, SamplerConfig, sample, summarize
-from .pipeline import DesignMatrix
+from .pipeline import DesignMatrix, reject_non_finite
 from .prob_core import ModelSpec, PriorSpec
 
 __all__ = [
@@ -53,6 +53,10 @@ class RddDataset:
                 raise ContractError("z length mismatch")
         if len(self.y) != len(self.assignment):
             raise ContractError("y length mismatch")
+        for name in ("assignment", "y", "z"):
+            reject_non_finite(name, getattr(self, name))
+        if not np.isfinite(self.cutoff):
+            raise SchemaError(f"cutoff: non-finite value {self.cutoff}")
         if self.unit_ids is None:
             self.unit_ids = np.arange(len(self.y))
         else:

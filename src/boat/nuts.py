@@ -2,6 +2,11 @@
 adaptation, windowed dense-metric adaptation, multi-chain driver, and
 split-chain R-hat diagnostics.
 
+The sampler sees one type, :class:`Target`: a log-density, its gradient
+and the parameter names. :func:`sample` compiles a ``ModelSpec`` and its
+data into a Target once (``_compile``), or takes a Target as it is; every
+chain, tree and step search below it runs on that one Target.
+
 The tree construction follows the multinomial variant: candidate states
 are weighted by their joint density exp(logp - |p|^2/2) and the proposal
 is drawn progressively as subtrees are merged.
@@ -34,9 +39,7 @@ __all__ = [
     "ChainStats",
     "Target",
     "leapfrog",
-    "nuts_step",
     "DualAveraging",
-    "adapt_step_size",
     "sample",
     "r_hat",
     "summarize",
@@ -58,26 +61,27 @@ SHRINK_WEIGHT = 1e-3
 
 @dataclass(frozen=True)
 class Target:
-    """A bare differentiable log-density, for sampling outside the three
-    regression families (diagnostics, calibration targets)."""
+    """What the sampler sees: ``logp(q)``, ``grad(q)`` and the parameter
+    names. Build one directly to sample a bare differentiable log-density
+    (diagnostics, calibration targets); :func:`sample` compiles a
+    ``ModelSpec`` into one."""
 
     logp: object
     grad: object
     names: tuple
 
 
-def _model_functions(model, data):
-    """(logp_fn, grad_fn, param_names) for a ModelSpec or a bare Target.
-
-    A ModelSpec's data are prepared once here, so each evaluation reads
-    the reduced form instead of rebuilding the design from ``data``.
-    """
-    if isinstance(model, Target):
-        return model.logp, model.grad, list(model.names)
+def _compile(model: ModelSpec, data) -> Target:
+    """A model's Target. The data are prepared once here, so each
+    evaluation reads the reduced form instead of rebuilding the design.
+    ``log_posterior`` and ``log_posterior_grad`` are looked up in this
+    module at call time, so a wrapper installed there sees every call."""
     prepared = prepare(model, data)
-    logp_fn = lambda q: log_posterior(model, prepared, q)
-    grad_fn = lambda q: log_posterior_grad(model, prepared, q)
-    return logp_fn, grad_fn, list(prepared.names)
+    return Target(
+        logp=lambda q: log_posterior(model, prepared, q),
+        grad=lambda q: log_posterior_grad(model, prepared, q),
+        names=tuple(prepared.names),
+    )
 
 
 @dataclass(frozen=True)
@@ -159,16 +163,10 @@ class PosteriorSamples:
             fh.write(text)
 
 
-def leapfrog(position, momentum, step, grad_fn):
-    """One leapfrog step: half-kick, drift, half-kick. Time-reversible."""
-    q = np.asarray(position, dtype=float)
-    p = np.asarray(momentum, dtype=float)
-    q, p, _ = _leapfrog_cached(q, p, np.asarray(grad_fn(q), dtype=float), step, grad_fn)
-    return q, p
-
-
-def _leapfrog_cached(q, p, grad, step, grad_fn):
-    """Leapfrog reusing the gradient at the start point."""
+def leapfrog(q, p, grad, step, grad_fn):
+    """One leapfrog step from (q, p) with ``grad`` the gradient at q:
+    half-kick, drift, half-kick. Returns (q, p, gradient at the new q).
+    Time-reversible."""
     p = p + 0.5 * step * grad
     q = q + step * p
     grad_new = np.asarray(grad_fn(q), dtype=float)
@@ -179,9 +177,8 @@ def _leapfrog_cached(q, p, grad, step, grad_fn):
 class _Tree:
     """Recursive multinomial NUTS tree construction for one transition."""
 
-    def __init__(self, logp_fn, grad_fn, step, logw0, rng):
-        self.logp_fn = logp_fn
-        self.grad_fn = grad_fn
+    def __init__(self, target, step, logw0, rng):
+        self.target = target
         self.step = step
         self.logw0 = logw0
         self.rng = rng
@@ -190,9 +187,9 @@ class _Tree:
         self.diverged = False
 
     def _leaf(self, q, p, grad, direction):
-        q1, p1, g1 = _leapfrog_cached(q, p, grad, direction * self.step, self.grad_fn)
+        q1, p1, g1 = leapfrog(q, p, grad, direction * self.step, self.target.grad)
         if np.all(np.isfinite(q1)) and np.all(np.isfinite(g1)):
-            logp1 = self.logp_fn(q1)
+            logp1 = self.target.logp(q1)
         else:
             logp1 = -np.inf
         logw = logp1 - 0.5 * float(p1 @ p1) if np.isfinite(logp1) else -np.inf
@@ -207,9 +204,7 @@ class _Tree:
     def build(self, q, p, grad, depth, direction):
         if depth == 0:
             return self._leaf(q, p, grad, direction)
-        qm, pm, gm, qp, pp, gp, prop, logw1, stop = self.build(
-            q, p, grad, depth - 1, direction
-        )
+        qm, pm, gm, qp, pp, gp, prop, logw1, stop = self.build(q, p, grad, depth - 1, direction)
         if stop:
             return qm, pm, gm, qp, pp, gp, prop, logw1, True
         if direction == 1:
@@ -232,12 +227,13 @@ def _is_turning(q_minus, p_minus, q_plus, p_plus) -> bool:
     return float(dq @ p_minus) < 0 or float(dq @ p_plus) < 0
 
 
-def _nuts_transition(q0, logp0, grad0, step, rng, logp_fn, grad_fn, max_tree_depth):
-    """One NUTS transition; returns (q, logp, grad, accept_stat, depth,
-    diverged, leapfrog steps, Hamiltonian at the start)."""
+def _nuts_transition(q0, logp0, grad0, step, rng, target, max_tree_depth):
+    """One NUTS transition from q0, whose log-density and gradient are
+    logp0 and grad0; returns (q, logp, grad, accept_stat, depth, diverged,
+    leapfrog steps, Hamiltonian at the start)."""
     p0 = rng.standard_normal(q0.shape[0])
     logw0 = logp0 - 0.5 * float(p0 @ p0)
-    tree = _Tree(logp_fn, grad_fn, step, logw0, rng)
+    tree = _Tree(target, step, logw0, rng)
 
     qm, pm, gm = q0, p0, grad0
     qp, pp, gp = q0, p0, grad0
@@ -247,13 +243,9 @@ def _nuts_transition(q0, logp0, grad0, step, rng, logp_fn, grad_fn, max_tree_dep
     while depth < max_tree_depth:
         direction = 1 if rng.uniform() < 0.5 else -1
         if direction == 1:
-            _, _, _, qp, pp, gp, prop2, logw2, stop = tree.build(
-                qp, pp, gp, depth, direction
-            )
+            _, _, _, qp, pp, gp, prop2, logw2, stop = tree.build(qp, pp, gp, depth, direction)
         else:
-            qm, pm, gm, _, _, _, prop2, logw2, stop = tree.build(
-                qm, pm, gm, depth, direction
-            )
+            qm, pm, gm, _, _, _, prop2, logw2, stop = tree.build(qm, pm, gm, depth, direction)
         if stop:
             break
         # biased progressive sampling favouring the new subtree
@@ -269,19 +261,6 @@ def _nuts_transition(q0, logp0, grad0, step, rng, logp_fn, grad_fn, max_tree_dep
     if prop is None:
         return (q0, logp0, grad0, *stats)
     return (*prop, *stats)
-
-
-def nuts_step(current, step_size, rng, model: ModelSpec, data, max_tree_depth=10):
-    """One transition of the NUTS kernel over a model's log-posterior."""
-    if step_size <= 0:
-        raise ValueError("step_size must be > 0")
-    logp_fn, grad_fn, _ = _model_functions(model, data)
-    q0 = np.asarray(current, dtype=float)
-    q, _, _, accept_stat, depth, diverged, _, _ = _nuts_transition(
-        q0, logp_fn(q0), np.asarray(grad_fn(q0), dtype=float),
-        step_size, rng, logp_fn, grad_fn, max_tree_depth,
-    )
-    return q, accept_stat, depth, diverged
 
 
 class DualAveraging:
@@ -313,38 +292,28 @@ class DualAveraging:
         return float(np.exp(self.log_step_bar))
 
 
-def adapt_step_size(accept_stats, target_accept, initial_step=1.0) -> float:
-    """Replay a history of acceptance statistics through dual averaging."""
-    da = DualAveraging(initial_step, target_accept)
-    step = initial_step
-    for a in accept_stats:
-        step = da.update(a)
-    return step
-
-
-def _find_reasonable_step(q, logp_fn, grad_fn, rng) -> float:
-    """Heuristic initial step: double/halve until accept prob crosses 0.5."""
-    step = 1.0
+def _find_reasonable_step(q, logp, grad, target, rng) -> float:
+    """Heuristic initial step from q (log-density logp, gradient grad):
+    double/halve until the accept prob of one leapfrog step crosses 0.5."""
     p = rng.standard_normal(q.shape[0])
+    logw = logp - 0.5 * float(p @ p)
+
+    def trial(step):
+        q1, p1, _ = leapfrog(q, p, grad, step, target.grad)
+        if not np.all(np.isfinite(q1)):
+            return -np.inf
+        return target.logp(q1) - 0.5 * float(p1 @ p1)
+
+    step = 1.0
     # trial steps can explode before the halving kicks in
     with np.errstate(over="ignore", invalid="ignore"):
-        logw = logp_fn(q) - 0.5 * float(p @ p)
-        grad = np.asarray(grad_fn(q), dtype=float)
-        q1, p1, _ = _leapfrog_cached(q, p, grad, step, grad_fn)
-        logw1 = (
-            logp_fn(q1) - 0.5 * float(p1 @ p1) if np.all(np.isfinite(q1)) else -np.inf
-        )
+        logw1 = trial(step)
         direction = 1.0 if logw1 - logw > np.log(0.5) else -1.0
         for _ in range(64):
             if direction * (logw1 - logw) <= direction * np.log(0.5):
                 break
             step *= 2.0**direction
-            q1, p1, _ = _leapfrog_cached(q, p, grad, step, grad_fn)
-            logw1 = (
-                logp_fn(q1) - 0.5 * float(p1 @ p1)
-                if np.all(np.isfinite(q1))
-                else -np.inf
-            )
+            logw1 = trial(step)
     return step
 
 
@@ -386,16 +355,13 @@ def _dense_metric(window_draws):
         return None
 
 
-def _linear_map(logp_fn, grad_fn, chol):
-    """Log-density and gradient in z for q = chol @ z."""
-
-    def logp(z):
-        return logp_fn(chol @ z)
-
-    def grad(z):
-        return chol.T @ np.asarray(grad_fn(chol @ z), dtype=float)
-
-    return logp, grad
+def _linear_map(target: Target, chol) -> Target:
+    """The target in z for q = chol @ z."""
+    return Target(
+        logp=lambda z: target.logp(chol @ z),
+        grad=lambda z: chol.T @ np.asarray(target.grad(chol @ z), dtype=float),
+        names=target.names,
+    )
 
 
 def _e_bfmi(energy) -> float | None:
@@ -407,26 +373,24 @@ def _e_bfmi(energy) -> float | None:
     return float(np.mean(np.diff(energy) ** 2) / var)
 
 
-def _run_chain(logp_fn, grad_fn, dim, cfg: SamplerConfig, chain_seed):
+def _run_chain(target: Target, cfg: SamplerConfig, chain_seed):
     rng = np.random.Generator(np.random.PCG64(chain_seed))
+    dim = len(target.names)
 
-    q = None
     for _ in range(100):
-        cand = rng.uniform(-2.0, 2.0, size=dim)
-        if np.isfinite(logp_fn(cand)):
-            q = cand
+        q = rng.uniform(-2.0, 2.0, size=dim)
+        logp = target.logp(q)
+        if np.isfinite(logp):
             break
-    if q is None:
+    else:
         raise InitializationError("no finite initial log-posterior found")
 
-    # the chain moves in z; until the first window closes, z = q
+    # the chain moves in z under zt; until the first window closes, z = q
     chol = None
-    f, g = logp_fn, grad_fn
-    z = q
-    step = _find_reasonable_step(z, f, g, rng)
+    zt, z = target, q
+    grad = np.asarray(zt.grad(z), dtype=float)
+    step = _find_reasonable_step(z, logp, grad, zt, rng)
     da = DualAveraging(step, cfg.target_accept)
-    logp = f(z)
-    grad = np.asarray(g(z), dtype=float)
 
     window_start = {stop: start for start, stop in _adaptation_windows(cfg.warmup)}
     warm = np.empty((cfg.warmup, dim))
@@ -438,7 +402,7 @@ def _run_chain(logp_fn, grad_fn, dim, cfg: SamplerConfig, chain_seed):
     leapfrogs = divergences = 0
     for i in range(cfg.draws):
         z, logp, grad, accept_stat, depth, diverged, n_leaves, h0 = _nuts_transition(
-            z, logp, grad, step, rng, f, g, cfg.max_tree_depth
+            z, logp, grad, step, rng, zt, cfg.max_tree_depth
         )
         q = z if chol is None else chol @ z
         if i < cfg.warmup:
@@ -448,11 +412,11 @@ def _run_chain(logp_fn, grad_fn, dim, cfg: SamplerConfig, chain_seed):
                 new_chol = _dense_metric(warm[window_start[i + 1] : i + 1])
                 if new_chol is not None:
                     chol = new_chol
-                    f, g = _linear_map(logp_fn, grad_fn, chol)
+                    zt = _linear_map(target, chol)
                     z = np.linalg.solve(chol, q)
-                    logp = f(z)
-                    grad = np.asarray(g(z), dtype=float)
-                    step = _find_reasonable_step(z, f, g, rng)
+                    logp = zt.logp(z)
+                    grad = np.asarray(zt.grad(z), dtype=float)
+                    step = _find_reasonable_step(z, logp, grad, zt, rng)
                     # Stan's restart: shrink toward 10x the found step
                     da = DualAveraging(10.0 * step, cfg.target_accept)
             if i == cfg.warmup - 1:
@@ -480,23 +444,22 @@ def _run_chain(logp_fn, grad_fn, dim, cfg: SamplerConfig, chain_seed):
     return kept, stats
 
 
-def sample(model: ModelSpec, data, priors=None, cfg: SamplerConfig = None) -> PosteriorSamples:
+def sample(model: ModelSpec | Target, data, cfg: SamplerConfig = None) -> PosteriorSamples:
     """Run independent NUTS chains and attach split R-hat diagnostics.
 
-    Deterministic given (seed, chains, config, data): each chain draws its
-    own RNG stream spawned from cfg.seed. The chains run one after another
-    on one model preparation. Each chain adapts its own step size and
-    dense metric during warm-up; ``chain_stats`` reports them with the
-    post-warm-up tree statistics.
+    A ``ModelSpec`` is compiled with ``data`` into a Target once; a Target
+    is sampled as it is. Deterministic given (seed, chains, config, data):
+    each chain draws its own RNG stream spawned from cfg.seed, and the
+    chains run one after another on the one Target. Each chain adapts its
+    own step size and dense metric during warm-up; ``chain_stats`` reports
+    them with the post-warm-up tree statistics.
     """
     if cfg is None:
         cfg = SamplerConfig()
-    if priors is not None and isinstance(model, ModelSpec):
-        model = ModelSpec(model.family, priors, model.cutoff)
-
-    logp_fn, grad_fn, names = _model_functions(model, data)
+    target = model if isinstance(model, Target) else _compile(model, data)
+    names = list(target.names)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.chains)
-    results = [_run_chain(logp_fn, grad_fn, len(names), cfg, s) for s in seeds]
+    results = [_run_chain(target, cfg, s) for s in seeds]
 
     draws = np.stack([kept for kept, _ in results])
     out = PosteriorSamples(

@@ -179,6 +179,23 @@ class VehicleAggregate:
     group: str
 
 
+def reject_non_finite(field: str, values, columns=None) -> None:
+    """SchemaError at the first NaN or +-inf of a numeric array (None passes),
+    naming the field (a 2-D array's column by its name in ``columns``) and
+    the row index."""
+    if values is None:
+        return
+    values = np.asarray(values, dtype=float)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, *col = map(int, bad[0])
+        if col:
+            j = col[0]
+            field = (f"{field} covariate {columns[j]!r}" if j < len(columns or ())
+                     else f"{field} column {j}")
+        raise SchemaError(f"{field}: non-finite value {values[tuple(bad[0])]} at row {row}")
+
+
 @dataclass
 class DesignMatrix:
     """Scaled covariates plus the role columns of one study."""
@@ -199,6 +216,9 @@ class DesignMatrix:
         self.t = np.asarray(self.t)
         if self.y is not None:
             self.y = np.asarray(self.y, dtype=float)
+        reject_non_finite("X", self.X, self.covariate_names)
+        for name in ("y", "tau", "assignment", "z"):
+            reject_non_finite(name, getattr(self, name))
         if not np.all(np.isin(self.t, (0, 1))):
             raise ContractError("treatment column must be binary")
         self.t = self.t.astype(int)

@@ -8,7 +8,7 @@ from boat.bdid import (
     fit_did,
     parallel_trend_check,
 )
-from boat.errors import ContractError, InsufficientDataError
+from boat.errors import ContractError, InsufficientDataError, SchemaError
 from boat.nuts import PosteriorSamples, SamplerConfig
 
 FAST = SamplerConfig(draws=1200, warmup=300, chains=2, seed=0)
@@ -64,6 +64,22 @@ class TestPanelDataset:
                 y_post=np.zeros(3),
                 treated=np.array([True, False, False]),
             )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field, label", [
+        ("y_pre", "y_pre"), ("y_post", "y_post"), ("X_pre", "X_pre covariate 'c2'"),
+        ("X_post", "X_post covariate 'c2'"), ("treated", "treated"),
+    ])
+    def test_non_finite_rejected_naming_field_and_row(self, field, label, value):
+        columns = dict(
+            unit_ids=np.arange(4), y_pre=np.zeros(4), y_post=np.zeros(4),
+            treated=np.array([1.0, 0.0, 0.0, 1.0]), X_pre=np.zeros((4, 2)),
+            X_post=np.zeros((4, 2)), covariate_names=["c1", "c2"],
+        )
+        columns[field][(2, 1) if field.startswith("X") else 2] = value
+        with pytest.raises(SchemaError) as err:
+            PanelDataset(**columns)
+        assert str(err.value) == f"{label}: non-finite value {value} at row 2"
 
     def test_covariates_both_or_neither(self):
         with pytest.raises(ContractError):

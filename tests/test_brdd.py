@@ -9,7 +9,7 @@ from boat.brdd import (
     fit_rdd,
     predict_lines,
 )
-from boat.errors import ContractError, EstimationError, InsufficientDataError
+from boat.errors import ContractError, EstimationError, InsufficientDataError, SchemaError
 from boat.nuts import PosteriorSamples, SamplerConfig
 
 FAST = SamplerConfig(draws=1200, warmup=300, chains=2, seed=0)
@@ -48,6 +48,21 @@ class TestDataset:
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
             RddDataset(assignment=[1.0, 2.0], y=[0.0], cutoff=1.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["assignment", "y", "z"])
+    def test_non_finite_rejected_naming_field_and_row(self, field, value):
+        columns = dict(assignment=np.array([59.0, 60.0, 61.0, 62.0]), y=np.zeros(4),
+                       z=np.zeros(4))
+        columns[field][2] = value
+        with pytest.raises(SchemaError) as err:
+            RddDataset(cutoff=60.0, **columns)
+        assert str(err.value) == f"{field}: non-finite value {value} at row 2"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_cutoff_rejected(self, value):
+        with pytest.raises(SchemaError, match="^cutoff: non-finite value"):
+            RddDataset(assignment=[59.0, 61.0], y=[0.0, 1.0], cutoff=value)
 
 
 class TestAteRdd:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,7 @@ from boat.nuts import (
     Target,
     _adaptation_windows,
     _e_bfmi,
-    adapt_step_size,
     leapfrog,
-    nuts_step,
     r_hat,
     sample,
     summarize,
@@ -40,11 +40,19 @@ def gaussian_grad(q):
     return -q
 
 
+def transition(q, step, rng, target, max_tree_depth=10):
+    """One NUTS transition from q, evaluating its start point once."""
+    return nuts._nuts_transition(q, target.logp(q), target.grad(q), step, rng, target,
+                                 max_tree_depth)
+
+
 class TestLeapfrog:
     def test_hand_computed_step(self):
-        q, p = leapfrog(np.array([1.0]), np.array([0.0]), 0.1, gaussian_grad)
+        q, p, g = leapfrog(np.array([1.0]), np.array([0.0]), np.array([-1.0]), 0.1,
+                           gaussian_grad)
         assert q[0] == pytest.approx(0.995, abs=1e-12)
         assert p[0] == pytest.approx(-0.09975, abs=1e-12)
+        np.testing.assert_array_equal(g, -q)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -53,17 +61,18 @@ class TestLeapfrog:
         step=st.floats(0.01, 0.5),
     )
     def test_reversibility(self, q0, p0, step):
-        q, p = leapfrog(np.array([q0]), np.array([p0]), step, gaussian_grad)
-        q_back, p_back = leapfrog(q, -p, step, gaussian_grad)
+        q, p, g = leapfrog(np.array([q0]), np.array([p0]), np.array([-q0]), step, gaussian_grad)
+        q_back, p_back, g_back = leapfrog(q, -p, g, step, gaussian_grad)
         assert abs(q_back[0] - q0) < 1e-10
+        assert abs(g_back[0] + q0) < 1e-10
         assert abs(-p_back[0] - p0) < 1e-10
 
     def test_energy_drift_is_second_order(self):
         def drift(step):
-            q, p = np.array([1.0]), np.array([0.0])
+            q, p, g = np.array([1.0]), np.array([0.0]), np.array([-1.0])
             h0 = 0.5 * (q @ q + p @ p)
             for _ in range(100):
-                q, p = leapfrog(q, p, step, gaussian_grad)
+                q, p, g = leapfrog(q, p, g, step, gaussian_grad)
             return abs(0.5 * (q @ q + p @ p) - h0)
 
         d1, d2 = drift(0.02), drift(0.01)
@@ -73,8 +82,8 @@ class TestLeapfrog:
 class TestNutsStep:
     def test_tiny_step_hits_max_depth(self):
         rng = np.random.default_rng(0)
-        q, accept, depth, diverged = nuts_step(
-            np.array([0.0]), 1e-6, rng, STD_GAUSSIAN_1D, None, max_tree_depth=4
+        q, _, _, accept, depth, diverged, _, _ = transition(
+            np.array([0.0]), 1e-6, rng, STD_GAUSSIAN_1D, max_tree_depth=4
         )
         assert depth == 4
         assert np.isfinite(q).all()
@@ -83,9 +92,12 @@ class TestNutsStep:
     def test_gaussian_stationary_moments(self):
         rng = np.random.default_rng(7)
         q = np.array([0.0])
+        logp, grad = STD_GAUSSIAN_1D.logp(q), STD_GAUSSIAN_1D.grad(q)
         draws = np.empty(5000)
         for i in range(5000):
-            q, _, _, _ = nuts_step(q, 0.8, rng, STD_GAUSSIAN_1D, None)
+            q, logp, grad, *_ = nuts._nuts_transition(
+                q, logp, grad, 0.8, rng, STD_GAUSSIAN_1D, 10
+            )
             draws[i] = q[0]
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.1
@@ -95,7 +107,7 @@ class TestNutsStep:
         q = np.array([0.0, 0.0])
         n_div = 0
         for _ in range(1000):
-            q, _, _, diverged = nuts_step(q, 0.7, rng, STD_GAUSSIAN_2D, None)
+            q, _, _, _, _, diverged, _, _ = transition(q, 0.7, rng, STD_GAUSSIAN_2D)
             n_div += diverged
         assert n_div == 0
 
@@ -115,8 +127,8 @@ class TestNutsStep:
         moved = 0
         for _ in range(200):
             calls.update(logp=0, grad=0)
-            q1, logp1, grad1, _, _, _, n_leaves, _ = nuts._nuts_transition(
-                q, logp(q), grad(q), 0.7, rng, logp, grad, 10
+            q1, logp1, grad1, _, _, _, n_leaves, _ = transition(
+                q, 0.7, rng, Target(logp, grad, ("x1", "x2"))
             )
             # one gradient and one log-density per leaf, none for the proposal
             assert calls == {"logp": n_leaves + 1, "grad": n_leaves + 1}
@@ -126,14 +138,12 @@ class TestNutsStep:
             q = q1
         assert moved > 150
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            nuts_step(np.array([0.0]), 0.0, np.random.default_rng(0), STD_GAUSSIAN_1D, None)
-
 
 class TestDualAveraging:
     def test_on_target_keeps_initial_step(self):
-        step = adapt_step_size([0.8] * 200, target_accept=0.8, initial_step=0.3)
+        da = DualAveraging(0.3, target_accept=0.8)
+        for _ in range(200):
+            step = da.update(0.8)
         assert step == pytest.approx(0.3, rel=0.05)
 
     def test_zero_acceptance_monotone_decrease(self):
@@ -163,6 +173,46 @@ class TestSample:
         rel = np.linalg.norm(cov - np.eye(2)) / np.linalg.norm(np.eye(2))
         assert rel < 0.10
         assert not out.warnings
+
+    def test_each_start_point_evaluated_once(self, monkeypatch):
+        # the chain's first point and the point it restarts from after the
+        # metric window each get one log-density and one gradient call
+        calls = {"logp": Counter(), "grad": Counter()}
+        first = []
+
+        def logp(q):
+            first.append(q.tobytes())
+            calls["logp"][q.tobytes()] += 1
+            return -0.5 * float(q @ q)
+
+        def grad(q):
+            calls["grad"][q.tobytes()] += 1
+            return -q
+
+        starts, chols = [], []
+        find, linear_map = nuts._find_reasonable_step, nuts._linear_map
+
+        def recording_find(z, *args):
+            starts.append(z)
+            return find(z, *args)
+
+        def recording_map(*args):
+            chols.append(args[-1])
+            return linear_map(*args)
+
+        monkeypatch.setattr(nuts, "_find_reasonable_step", recording_find)
+        monkeypatch.setattr(nuts, "_linear_map", recording_map)
+        cfg = SamplerConfig(draws=150, warmup=100, chains=1, seed=5)
+        assert _adaptation_windows(cfg.warmup) == [(50, 90)]
+        sample(Target(logp, grad, ("x1", "x2")), None, cfg=cfg)
+
+        assert len(starts) == len(chols) + 1 == 2
+        start, restart = first[0], (chols[0] @ starts[1]).tobytes()
+        assert starts[0].tobytes() == start
+        for point in (start, restart):
+            assert (calls["logp"][point], calls["grad"][point]) == (1, 1)
+        # and no other point is evaluated twice either
+        assert max(calls["logp"].values()) == max(calls["grad"].values()) == 1
 
 
 def correlated_gaussian(sds, rho):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from boat import pipeline
 from boat.errors import ContractError, ScalingError, SchemaError
 from boat.pipeline import (
+    DesignMatrix,
     COVARIATE_NAMES,
     TRIPS_CSV_COLUMNS,
     TripRecord,
@@ -365,6 +366,37 @@ class TestBuildDesign:
                 unit_ids=np.arange(2), X=np.zeros((2, 1)), t=np.array([0, 2]),
                 y=np.zeros(2), covariate_names=["x"],
             )
+
+
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                                     ids=["nan", "inf", "-inf"])
+
+
+class TestDesignMatrixBoundary:
+    def columns(self):
+        zeros = np.zeros(4)
+        return dict(unit_ids=np.arange(4), X=np.zeros((4, 2)), t=np.array([0, 1, 0, 1]),
+                    y=zeros.copy(), covariate_names=["a", "b"], tau=zeros.copy(),
+                    assignment=zeros.copy(), z=zeros.copy())
+
+    @NON_FINITE
+    @pytest.mark.parametrize("field, label", [
+        ("X", "X covariate 'b'"), ("y", "y"), ("tau", "tau"), ("assignment", "assignment"),
+        ("z", "z"),
+    ])
+    def test_non_finite_rejected_naming_field_and_row(self, field, label, value):
+        columns = self.columns()
+        columns[field][(2, 1) if field == "X" else 2] = value
+        columns[field][3] = value  # a later bad row is not the one named
+        with pytest.raises(SchemaError) as err:
+            DesignMatrix(**columns)
+        assert str(err.value) == f"{label}: non-finite value {value} at row 2"
+
+    def test_unnamed_column_named_by_index(self):
+        columns = self.columns()
+        columns["X"][1, 1], columns["covariate_names"] = np.nan, ["a"]
+        with pytest.raises(SchemaError, match=r"^X column 1: non-finite value nan at row 1$"):
+            DesignMatrix(**columns)
 
 
 # --------------------------------------------------------------------------

@@ -418,6 +418,17 @@ def test_sample_routes_every_evaluation_through_nuts_module_functions(family, mo
     assert calls["log_posterior"] + calls["log_posterior_grad"] == splits[0]
 
 
+@pytest.mark.parametrize("family", ["logistic", "did_linear", "rdd_linear"])
+def test_sample_takes_one_path_for_a_model_and_its_compiled_target(family):
+    model, dm = make_data(family, n=40)
+    cfg = nuts.SamplerConfig(draws=120, warmup=60, chains=2, seed=2)
+    direct = nuts.sample(model, dm, cfg=cfg)
+    compiled = nuts.sample(nuts._compile(model, dm), None, cfg=cfg)
+    assert direct.param_names == compiled.param_names == list(prepare(model, dm).names)
+    assert np.array_equal(direct.draws, compiled.draws)
+    assert direct.chain_stats == compiled.chain_stats
+
+
 def reference_logistic_log_posterior(prep, params):
     """Log-posterior with t log p + (1 - t) log1p(-p) over the masked sigmoid."""
     b = np.asarray(params, dtype=float)
