@@ -48,6 +48,10 @@ class PanelDataset:
         self.treated = np.asarray(self.treated)
         if self.treated.dtype.kind == "f":
             reject_non_finite("treated", self.treated)
+        bad = np.flatnonzero(~np.isin(self.treated, (0, 1)))
+        if bad.size:
+            value = self.treated[bad[0]].item()
+            raise ContractError(f"treated: non-binary value {value!r} at row {bad[0]}")
         self.treated = self.treated.astype(bool)
         n = len(self.unit_ids)
         if not (len(self.y_pre) == len(self.y_post) == len(self.treated) == n):

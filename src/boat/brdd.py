@@ -91,8 +91,7 @@ def fit_rdd(
     (and the sampler's U(-2, 2) inits) are sized in those units; it is no
     longer needed for conditioning, since the sampler adapts a dense
     metric to the correlated intercept, slopes and gap during warm-up.
-    The returned draws are transformed back to the raw coordinates; the
-    scaled-space metadata is kept in diagnostics["_scaling"], and
+    The returned draws are transformed back to the raw coordinates;
     ``chain_stats`` stays in the scaled coordinates.
     """
     t = data.t
@@ -132,10 +131,6 @@ def fit_rdd(
     if "beta_z" in idx:
         draws[:, :, idx["beta_z"]] *= y_range
     draws[:, :, idx["log_sigma"]] += np.log(y_range)
-    out.diagnostics["_n_rows"] = len(data.y)
-    out.diagnostics["_scaling"] = {
-        "y_min": y_min, "y_max": y_max, "x_scale": x_scale
-    }
     return out
 
 

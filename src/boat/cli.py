@@ -177,10 +177,8 @@ def _fit_bpsm(args, table: _Table):
     t = table.treatment(args.treatment_col)
     y = table.floats(args.target)
     X = np.column_stack([table.floats(c) for c in covariates])
-    X, meta = min_max_scale(X, covariates)
-    data = DesignMatrix(
-        unit_ids=unit_ids, X=X, t=t, y=y, covariate_names=covariates, scaling_meta=meta
-    )
+    X = min_max_scale(X, covariates)
+    data = DesignMatrix(unit_ids=unit_ids, X=X, t=t, y=y, covariate_names=covariates)
 
     priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scales=args.beta_scale,
                        noise_prior=None)
@@ -276,7 +274,7 @@ def _fit_brdd(args, table: _Table):
     report = {
         "density_continuity": brdd.density_continuity_check(
             data.assignment, args.cutoff, bandwidth),
-        "n_rows_fitted": int(posterior.diagnostics["_n_rows"]),
+        "n_rows_fitted": len(data.y),
     }
     xs = np.linspace(data.assignment.min(), data.assignment.max(), 101)
     z_fixed = float(np.mean(data.z)) if data.z is not None else 0.0

@@ -7,9 +7,11 @@ and the parameter names. :func:`sample` compiles a ``ModelSpec`` and its
 data into a Target once (``_compile``), or takes a Target as it is; every
 chain, tree and step search below it runs on that one Target.
 
-The tree construction follows the multinomial variant: candidate states
-are weighted by their joint density exp(logp - |p|^2/2) and the proposal
-is drawn progressively as subtrees are merged.
+The tree is the multinomial variant: each leaf is weighted by its joint
+density exp(logp - |p|^2/2). A subtree is a leaf, or two halves and a
+merge; a transition doubles its trajectory, one subtree at a time, with
+the same merge. Each merge draws the proposal progressively: uniformly
+within a subtree, and biased toward the new subtree at the top.
 
 Warm-up follows Stan's windows (Hoffman & Gelman, arXiv:1111.4246;
 Betancourt, arXiv:1701.02434): an initial buffer with the identity
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,10 +103,10 @@ class SamplerConfig:
     max_tree_depth: int = 10
 
     def __post_init__(self):
-        if self.draws < 1 or self.chains < 1:
-            raise ValueError("draws and chains must be >= 1")
-        if not 0 <= self.warmup < self.draws:
-            raise ValueError("warmup must satisfy 0 <= warmup < draws")
+        if self.chains < 1:
+            raise ValueError("chains must be >= 1")
+        if not 0 <= self.warmup <= self.draws - 4:  # r_hat needs 4 kept draws per chain
+            raise ValueError("warmup must satisfy 0 <= warmup <= draws - 4")
         if not 0 < self.target_accept < 1:
             raise ValueError("target_accept must be in (0, 1)")
         if self.max_tree_depth < 1:
@@ -141,10 +144,6 @@ class PosteriorSamples:
     warnings: list[str] = field(default_factory=list)
     chain_stats: list[ChainStats] = field(default_factory=list)
 
-    @property
-    def n_chains(self) -> int:
-        return self.draws.shape[0]
-
     def pooled(self, name: str) -> np.ndarray:
         """All draws of one parameter, chains concatenated."""
         idx = self.param_names.index(name)
@@ -174,6 +173,18 @@ def leapfrog(q, p, grad, step, grad_fn):
     return q, p, grad_new
 
 
+class _Subtree(NamedTuple):
+    """A stretch of trajectory: its two edges, each a (q, p, grad) triple,
+    the proposal drawn from it as (q, logp, grad), the log of its summed
+    weights, and whether it must stop growing."""
+
+    minus: tuple
+    plus: tuple
+    proposal: tuple
+    logw: float
+    stop: bool
+
+
 class _Tree:
     """Recursive multinomial NUTS tree construction for one transition."""
 
@@ -198,33 +209,37 @@ class _Tree:
         self.diverged = self.diverged or diverged
         self.accept_sum += min(1.0, np.exp(min(0.0, -energy_error)))
         self.n_leaves += 1
-        # (q-, p-, g-, q+, p+, g+, proposal (q, logp, grad), logsumw, stop)
-        return (q1, p1, g1, q1, p1, g1, (q1, logp1, g1), logw, diverged)
+        edge = (q1, p1, g1)
+        return _Subtree(edge, edge, (q1, logp1, g1), logw, diverged)
 
-    def build(self, q, p, grad, depth, direction):
+    def build(self, edge, depth, direction) -> _Subtree:
+        """2**depth leaves from ``edge`` in ``direction``: a leaf, or two
+        halves and a merge; a half that stops ends the subtree."""
         if depth == 0:
-            return self._leaf(q, p, grad, direction)
-        qm, pm, gm, qp, pp, gp, prop, logw1, stop = self.build(q, p, grad, depth - 1, direction)
-        if stop:
-            return qm, pm, gm, qp, pp, gp, prop, logw1, True
-        if direction == 1:
-            qm2, pm2, gm2, qp, pp, gp, prop2, logw2, stop2 = self.build(
-                qp, pp, gp, depth - 1, direction
-            )
-        else:
-            qm, pm, gm, qp2, pp2, gp2, prop2, logw2, stop2 = self.build(
-                qm, pm, gm, depth - 1, direction
-            )
-        logw = np.logaddexp(logw1, logw2)
-        if np.isfinite(logw2) and np.log(self.rng.uniform()) < logw2 - logw:
-            prop = prop2
-        stop = stop2 or _is_turning(qm, pm, qp, pp)
-        return qm, pm, gm, qp, pp, gp, prop, logw, stop
+            return self._leaf(*edge, direction)
+        first = self.build(edge, depth - 1, direction)
+        if first.stop:
+            return first
+        second = self.build(first.plus if direction == 1 else first.minus, depth - 1, direction)
+        return self.merge(first, second, direction, biased=False)
+
+    def merge(self, old, new, direction, biased) -> _Subtree:
+        """Join ``new`` onto ``old``'s ``direction`` side. New's proposal is
+        taken with probability w_new / (w_old + w_new), or min(1, w_new / w_old)
+        if ``biased``, with no draw when w_new is 0. Stops on new.stop or a U-turn."""
+        minus, plus = (old.minus, new.plus) if direction == 1 else (new.minus, old.plus)
+        logw = np.logaddexp(old.logw, new.logw)
+        proposal = old.proposal
+        against = old.logw if biased else logw
+        if np.isfinite(new.logw) and np.log(self.rng.uniform()) < new.logw - against:
+            proposal = new.proposal
+        stop = new.stop or _is_turning(minus, plus)
+        return _Subtree(minus, plus, proposal, logw, stop)
 
 
-def _is_turning(q_minus, p_minus, q_plus, p_plus) -> bool:
-    dq = q_plus - q_minus
-    return float(dq @ p_minus) < 0 or float(dq @ p_plus) < 0
+def _is_turning(minus, plus) -> bool:
+    dq = plus[0] - minus[0]
+    return float(dq @ minus[1]) < 0 or float(dq @ plus[1]) < 0
 
 
 def _nuts_transition(q0, logp0, grad0, step, rng, target, max_tree_depth):
@@ -234,33 +249,18 @@ def _nuts_transition(q0, logp0, grad0, step, rng, target, max_tree_depth):
     p0 = rng.standard_normal(q0.shape[0])
     logw0 = logp0 - 0.5 * float(p0 @ p0)
     tree = _Tree(target, step, logw0, rng)
-
-    qm, pm, gm = q0, p0, grad0
-    qp, pp, gp = q0, p0, grad0
-    prop = None  # the chain stays at q0 until a subtree's leaf is drawn
-    logw = logw0
+    start = (q0, p0, grad0)
+    whole = _Subtree(start, start, (q0, logp0, grad0), logw0, False)
     depth = 0
-    while depth < max_tree_depth:
+    while depth < max_tree_depth and not whole.stop:
         direction = 1 if rng.uniform() < 0.5 else -1
-        if direction == 1:
-            _, _, _, qp, pp, gp, prop2, logw2, stop = tree.build(qp, pp, gp, depth, direction)
-        else:
-            qm, pm, gm, _, _, _, prop2, logw2, stop = tree.build(qm, pm, gm, depth, direction)
-        if stop:
+        new = tree.build(whole.plus if direction == 1 else whole.minus, depth, direction)
+        if new.stop:
             break
-        # biased progressive sampling favouring the new subtree
-        if np.isfinite(logw2) and np.log(rng.uniform()) < logw2 - logw:
-            prop = prop2
-        logw = np.logaddexp(logw, logw2)
+        whole = tree.merge(whole, new, direction, biased=True)
         depth += 1
-        if _is_turning(qm, pm, qp, pp):
-            break
-
     accept_stat = tree.accept_sum / max(tree.n_leaves, 1)
-    stats = (accept_stat, depth, tree.diverged, tree.n_leaves, -logw0)
-    if prop is None:
-        return (q0, logp0, grad0, *stats)
-    return (*prop, *stats)
+    return (*whole.proposal, accept_stat, depth, tree.diverged, tree.n_leaves, -logw0)
 
 
 class DualAveraging:

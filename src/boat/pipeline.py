@@ -56,7 +56,6 @@ __all__ = [
     "filter_trips",
     "aggregate_to_vehicle",
     "min_max_scale",
-    "min_max_unscale",
     "build_design",
 ]
 
@@ -205,7 +204,6 @@ class DesignMatrix:
     t: np.ndarray
     y: np.ndarray
     covariate_names: list[str]
-    scaling_meta: list[tuple[float, float]] | None = None
     tau: np.ndarray | None = None
     assignment: np.ndarray | None = None
     z: np.ndarray | None = None
@@ -583,7 +581,7 @@ def aggregate_to_vehicle(
     return aggregates, excluded
 
 
-def min_max_scale(matrix, names=None) -> tuple[np.ndarray, list[tuple[float, float]]]:
+def min_max_scale(matrix, names=None) -> np.ndarray:
     """Scale each column to [0, 1]; constant columns are an error."""
     X = np.atleast_2d(np.asarray(matrix, dtype=float))
     mins = X.min(axis=0)
@@ -592,15 +590,7 @@ def min_max_scale(matrix, names=None) -> tuple[np.ndarray, list[tuple[float, flo
     if constant.size:
         labels = [names[i] if names else str(i) for i in constant]
         raise ScalingError(f"constant column(s) cannot be scaled: {labels}")
-    scaled = (X - mins) / (maxs - mins)
-    return scaled, list(zip(mins.tolist(), maxs.tolist()))
-
-
-def min_max_unscale(scaled, meta) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(scaled, dtype=float))
-    mins = np.array([m for m, _ in meta])
-    maxs = np.array([m for _, m in meta])
-    return X * (maxs - mins) + mins
+    return (X - mins) / (maxs - mins)
 
 
 def build_design(aggregates, covariate_names=None, scale=True) -> DesignMatrix:
@@ -623,14 +613,12 @@ def build_design(aggregates, covariate_names=None, scale=True) -> DesignMatrix:
         [[agg.covariates[c] for c in covariate_names] for agg in aggregates],
         dtype=float,
     )
-    meta = None
     if scale and X.size:
-        X, meta = min_max_scale(X, covariate_names)
+        X = min_max_scale(X, covariate_names)
     return DesignMatrix(
         unit_ids=np.array([a.vehicle_id for a in aggregates]),
         X=X,
         t=np.array([1 if a.group == "treatment" else 0 for a in aggregates]),
         y=np.array([a.target for a in aggregates], dtype=float),
         covariate_names=list(covariate_names),
-        scaling_meta=meta,
     )

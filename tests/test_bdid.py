@@ -81,6 +81,24 @@ class TestPanelDataset:
             PanelDataset(**columns)
         assert str(err.value) == f"{label}: non-finite value {value} at row 2"
 
+    @pytest.mark.parametrize("treated, message", [
+        ([0, 2, -1], "treated: non-binary value 2 at row 1"),
+        ([1.0, 0.0, 0.5], "treated: non-binary value 0.5 at row 2"),
+        (["1", "0", "1"], "treated: non-binary value '1' at row 0"),
+    ], ids=["int", "float", "str"])
+    def test_non_binary_treated_rejected_naming_row(self, treated, message):
+        with pytest.raises(ContractError) as err:
+            PanelDataset(unit_ids=np.arange(3), y_pre=np.zeros(3), y_post=np.zeros(3),
+                         treated=np.array(treated))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("treated", [[0, 1, 1], [0.0, 1.0, 1.0], [False, True, True]],
+                             ids=["int", "float", "bool"])
+    def test_binary_treated_accepted(self, treated):
+        panel = PanelDataset(unit_ids=np.arange(3), y_pre=np.zeros(3), y_post=np.zeros(3),
+                             treated=np.array(treated))
+        np.testing.assert_array_equal(panel.treated, [False, True, True])
+
     def test_covariates_both_or_neither(self):
         with pytest.raises(ContractError):
             PanelDataset(

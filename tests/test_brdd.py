@@ -86,6 +86,8 @@ class TestFitRdd:
         lo, hi = est.interval
         assert lo <= -1.2 <= hi
         assert abs(est.point + 1.2) < 0.4
+        # only the keys that sample writes
+        assert set(post.diagnostics) == {*post.param_names, "_divergences"}
 
     def test_shift_invariance_of_effect(self):
         d = make_data(seed=2, n=200)

@@ -139,6 +139,87 @@ class TestNutsStep:
         assert moved > 150
 
 
+class StubRng:
+    """Hands out the given uniforms in order and counts the draws."""
+
+    def __init__(self, *uniforms):
+        self.uniforms = list(uniforms)
+        self.drawn = 0
+
+    def uniform(self):
+        self.drawn += 1
+        return self.uniforms.pop(0)
+
+
+def subtree(q_minus, q_plus, logw, p_minus=1.0, p_plus=1.0, stop=False, name="old"):
+    """A 1-D _Subtree whose proposal is a label."""
+    def edge(q, p):
+        return (np.array([q]), np.array([p]), np.array([0.0]))
+    return nuts._Subtree(edge(q_minus, p_minus), edge(q_plus, p_plus), name, logw, stop)
+
+
+def merge(rng, old, new, direction=1, biased=False):
+    return nuts._Tree(None, None, None, rng).merge(old, new, direction, biased)
+
+
+class TestTreeMerge:
+    HALF = np.nextafter(0.5, 0.0)  # the largest uniform below 0.5
+
+    @pytest.mark.parametrize("biased, new_logw, u, taken", [
+        # uniform: take new with w_new / (w_old + w_new) = 1/2, strictly below
+        (False, 0.0, 0.5, "old"),
+        (False, 0.0, HALF, "new"),
+        # biased: take new with min(1, w_new / w_old)
+        (True, 0.0, 0.75, "new"),
+        (True, np.log(0.5), 0.5, "old"),
+        (True, np.log(0.5), HALF, "new"),
+    ])
+    def test_acceptance_at_the_boundary(self, biased, new_logw, u, taken):
+        rng = StubRng(u)
+        merged = merge(rng, subtree(0.0, 1.0, 0.0), subtree(1.5, 2.0, new_logw, name="new"),
+                       biased=biased)
+        assert merged.proposal == taken
+        assert merged.logw == np.logaddexp(0.0, new_logw)
+        assert rng.drawn == 1
+
+    @pytest.mark.parametrize("biased", [False, True])
+    def test_no_draw_when_new_has_no_weight(self, biased):
+        rng = StubRng()
+        merged = merge(rng, subtree(0.0, 1.0, -0.3),
+                       subtree(1.5, 2.0, -np.inf, name="new"), biased=biased)
+        assert merged.proposal == "old"
+        assert merged.logw == -0.3
+        assert rng.drawn == 0
+
+    def test_stop_from_new_subtree(self):
+        rng = StubRng(0.9)
+        merged = merge(rng, subtree(0.0, 1.0, 0.0), subtree(1.5, 2.0, 0.0, stop=True))
+        assert merged.stop
+        assert rng.drawn == 1  # the uniform is still drawn, as the tree's RNG order needs
+
+    @pytest.mark.parametrize("direction, p_new, stop", [
+        (1, 1.0, False), (1, -1.0, True), (-1, 1.0, False), (-1, -1.0, True),
+    ])
+    def test_stop_from_u_turn_across_the_merged_edges(self, direction, p_new, stop):
+        # the new subtree lies beyond old's edge on the direction side; a
+        # momentum at its outer edge against q+ - q- is a U-turn
+        if direction == 1:
+            new = subtree(1.5, 2.0, 0.0, p_plus=p_new)
+        else:
+            new = subtree(-1.0, -0.5, 0.0, p_minus=p_new)
+        assert merge(StubRng(0.9), subtree(0.0, 1.0, 0.0), new, direction).stop == stop
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_edges_taken_from_the_side_of_each_direction(self, direction):
+        old = subtree(0.0, 1.0, 0.0)
+        new = subtree(1.5, 2.0, 0.0) if direction == 1 else subtree(-1.0, -0.5, 0.0)
+        merged = merge(StubRng(0.9), old, new, direction)
+        if direction == 1:
+            assert merged.minus is old.minus and merged.plus is new.plus
+        else:
+            assert merged.minus is new.minus and merged.plus is old.plus
+
+
 class TestDualAveraging:
     def test_on_target_keeps_initial_step(self):
         da = DualAveraging(0.3, target_accept=0.8)
@@ -156,6 +237,21 @@ class TestDualAveraging:
         out = sample(STD_GAUSSIAN_2D, None, cfg=cfg)
         assert 0.7 <= out.chain_stats[0].mean_accept <= 0.98
         assert out.diagnostics["x1"]["rhat"] < 1.05
+
+
+class TestSamplerConfig:
+    def test_too_few_kept_draws_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="warmup <= draws - 4"):
+            SamplerConfig(draws=103, warmup=100)
+        assert SamplerConfig(draws=104, warmup=100).draws == 104
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(chains=0), dict(warmup=-1), dict(draws=200, warmup=200), dict(draws=0),
+        dict(target_accept=1.0), dict(max_tree_depth=0),
+    ])
+    def test_invalid_config_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SamplerConfig(**kwargs)
 
 
 class TestSample:

@@ -26,7 +26,6 @@ from boat.pipeline import (
     filter_trips,
     ingest_trips,
     min_max_scale,
-    min_max_unscale,
 )
 
 HEADER = ",".join(TRIPS_CSV_COLUMNS)
@@ -302,22 +301,14 @@ class TestScaling:
     def test_unit_interval_bounds(self):
         rng = np.random.default_rng(0)
         X = rng.normal(10, 5, (30, 4))
-        scaled, meta = min_max_scale(X)
+        scaled = min_max_scale(X)
+        assert scaled.shape == X.shape
         assert scaled.min() == 0.0 and scaled.max() == 1.0
         assert np.all(scaled >= 0) and np.all(scaled <= 1)
-        assert len(meta) == 4
-
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(1)
-        X = rng.uniform(-100, 100, (20, 3))
-        scaled, meta = min_max_scale(X)
-        back = min_max_unscale(scaled, meta)
-        np.testing.assert_allclose(back, X, rtol=1e-12, atol=1e-12)
 
     def test_hand_values(self):
-        scaled, meta = min_max_scale(np.array([[2.0], [4.0], [6.0]]))
+        scaled = min_max_scale(np.array([[2.0], [4.0], [6.0]]))
         np.testing.assert_allclose(scaled[:, 0], [0.0, 0.5, 1.0])
-        assert meta == [(2.0, 6.0)]
 
     def test_constant_column_rejected(self):
         with pytest.raises(ScalingError):
@@ -341,13 +332,14 @@ class TestBuildDesign:
         dm = build_design(aggs, covariate_names=varying)
         assert dm.X.shape == (2, len(varying))
         np.testing.assert_array_equal(sorted(dm.t.tolist()), [0, 1])
-        assert dm.scaling_meta is not None
+        # two vehicles: each scaled column holds one 0 and one 1
+        np.testing.assert_array_equal(np.sort(dm.X, axis=0), [[0.0] * len(varying),
+                                                              [1.0] * len(varying)])
         assert list(dm.unit_ids) == ["v1", "v2"]
 
     def test_unscaled_passthrough(self):
         aggs, _ = aggregate_to_vehicle(trips_from(FIVE_TRIPS))
         dm = build_design(aggs, scale=False)
-        assert dm.scaling_meta is None
         j = COVARIATE_NAMES.index("avg_trip_distance")
         assert dm.X[0, j] == pytest.approx(52.0)
         assert dm.y[0] == pytest.approx(75.0)

@@ -14,16 +14,14 @@ from boat.prob_core import (
     ModelSpec,
     PreparedModel,
     PriorSpec,
-    bernoulli_logpmf,
-    half_cauchy_logpdf,
     log_posterior,
     log_posterior_grad,
-    normal_logpdf,
     param_dim,
     param_names,
     prepare,
     sigmoid,
 )
+from densities import bernoulli_logpmf, half_cauchy_logpdf, normal_logpdf
 
 
 def make_data(family, n=30, seed=0):
