@@ -1,9 +1,10 @@
 """Bayesian difference-in-differences.
 
-The two-period panel is stacked long (one row per unit-period) and fitted
-as y ~ alpha + treated + post + treated*post + covariates + noise. The
-treated*post interaction coefficient is the DID effect; its posterior is
-the ATE_DID estimate.
+The two-period panel is stacked long (one row per unit-period), and this
+module builds the regressors [treated, post, treated*post, covariates] of
+the linear model y ~ alpha + theta_treat*treated + theta_period*post
++ theta_interaction*treated*post + covariates + noise. The interaction
+coefficient is the DID effect; its posterior is the ATE_DID estimate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .effects import ATEEstimate, from_draws
 from .errors import ContractError, InsufficientDataError
 from .nuts import PosteriorSamples, SamplerConfig, sample
-from .pipeline import DesignMatrix, reject_non_finite
+from .pipeline import DesignMatrix, reject_non_binary, reject_non_finite
 from .prob_core import ModelSpec, PriorSpec
 
 __all__ = [
@@ -45,14 +46,8 @@ class PanelDataset:
         self.unit_ids = np.asarray(self.unit_ids)
         self.y_pre = np.asarray(self.y_pre, dtype=float)
         self.y_post = np.asarray(self.y_post, dtype=float)
-        self.treated = np.asarray(self.treated)
-        if self.treated.dtype.kind == "f":
-            reject_non_finite("treated", self.treated)
-        bad = np.flatnonzero(~np.isin(self.treated, (0, 1)))
-        if bad.size:
-            value = self.treated[bad[0]].item()
-            raise ContractError(f"treated: non-binary value {value!r} at row {bad[0]}")
-        self.treated = self.treated.astype(bool)
+        reject_non_binary("treated", self.treated)
+        self.treated = np.asarray(self.treated).astype(bool)
         n = len(self.unit_ids)
         if not (len(self.y_pre) == len(self.y_post) == len(self.treated) == n):
             raise ContractError("panel columns must all have one entry per unit")
@@ -66,19 +61,18 @@ class PanelDataset:
 
 def _long_format(panel: PanelDataset) -> DesignMatrix:
     n = len(panel.unit_ids)
-    t = np.concatenate([panel.treated, panel.treated]).astype(int)
-    tau = np.concatenate([np.zeros(n), np.ones(n)])
+    t = np.concatenate([panel.treated, panel.treated]).astype(float)
+    post = np.concatenate([np.zeros(n), np.ones(n)])
     y = np.concatenate([panel.y_pre, panel.y_post])
     if panel.X_pre is not None:
         X = np.vstack([np.asarray(panel.X_pre, float), np.asarray(panel.X_post, float)])
-        names = list(panel.covariate_names or [f"x{j}" for j in range(X.shape[1])])
+        covariates = panel.covariate_names or [f"x{j}" for j in range(X.shape[1])]
     else:
-        X = np.empty((2 * n, 0))
-        names = []
+        X, covariates = np.empty((2 * n, 0)), []
     ids = np.concatenate([panel.unit_ids, panel.unit_ids])
-    return DesignMatrix(
-        unit_ids=ids, X=X, t=t, y=y, covariate_names=names, tau=tau
-    )
+    names = ["theta_treat", "theta_period", INTERACTION, *(f"beta_{c}" for c in covariates)]
+    return DesignMatrix(unit_ids=ids, X=np.column_stack([t, post, t * post, X]), t=t, y=y,
+                        covariate_names=names)
 
 
 def fit_did(

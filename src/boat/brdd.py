@@ -1,12 +1,13 @@
 """Bayesian sharp regression discontinuity design.
 
-The model is fit on cutoff-centered coordinates:
+The model is the local-linear regression on cutoff-centered coordinates:
 
     y ~ alpha + b_slope*(x - c) + b_treat*t + b_slope_treat*(x - c)*t
         [+ b_z*z] + noise,  t = 1(x >= c)
 
 so the treatment coefficient is the vertical gap of the two fitted lines
-at the cutoff, which is the local treatment effect.
+at the cutoff, which is the local treatment effect. :func:`fit_rdd` builds
+these regressors itself and fits them as a plain linear model.
 """
 
 from __future__ import annotations
@@ -86,11 +87,12 @@ def fit_rdd(
 ) -> PosteriorSamples:
     """Posterior over (alpha, slopes, treatment gap, z coefficient, log sigma).
 
-    Internally the regression runs on min-max-scaled y and a standardized
-    centered assignment. The rescaling is kept because the default priors
-    (and the sampler's U(-2, 2) inits) are sized in those units; it is no
-    longer needed for conditioning, since the sampler adapts a dense
-    metric to the correlated intercept, slopes and gap during warm-up.
+    Internally the regression runs on min-max-scaled y with the regressors
+    [xs, t, xs*t] and z when given, where xs = (x - c) / std(x - c). The
+    rescaling is kept because the default priors (and the sampler's
+    U(-2, 2) inits) are sized in those units; it is no longer needed for
+    conditioning, since the sampler adapts a dense metric to the
+    correlated intercept, slopes and gap during warm-up.
     The returned draws are transformed back to the raw coordinates;
     ``chain_stats`` stays in the scaled coordinates.
     """
@@ -108,29 +110,23 @@ def fit_rdd(
     if y_range == 0.0:
         raise EstimationError("target variable is constant")
 
-    dm = DesignMatrix(
-        unit_ids=data.unit_ids,
-        X=np.empty((len(data.y), 0)),
-        t=t,
-        y=(data.y - y_min) / y_range,
-        covariate_names=[],
-        assignment=xc / x_scale,
-        z=data.z,
-    )
-    model = ModelSpec("rdd_linear", priors or default_rdd_priors(), cutoff=0.0)
+    xs, tf = xc / x_scale, t.astype(float)
+    cols, names = [xs, tf, xs * tf], ["beta_slope", TREAT_COEF, "beta_slope_treat"]
+    if data.z is not None:
+        cols.append(data.z)
+        names.append("beta_z")
+    dm = DesignMatrix(unit_ids=data.unit_ids, X=np.column_stack(cols), t=t,
+                      y=(data.y - y_min) / y_range, covariate_names=names)
+    model = ModelSpec("rdd_linear", priors or default_rdd_priors())
     out = sample(model, dm, cfg=cfg or SamplerConfig())
 
-    # map draws back to raw units: y = y_min + y_range * y_scaled,
-    # slope coefficients additionally divide by x_scale
-    idx = {name: j for j, name in enumerate(out.param_names)}
+    # map draws back to raw units: y = y_min + y_range * y_scaled, and the
+    # slope coefficients also divide by x_scale
     draws = out.draws
-    draws[:, :, idx["alpha"]] = y_min + y_range * draws[:, :, idx["alpha"]]
-    draws[:, :, idx["beta_slope"]] *= y_range / x_scale
-    draws[:, :, idx[TREAT_COEF]] *= y_range
-    draws[:, :, idx["beta_slope_treat"]] *= y_range / x_scale
-    if "beta_z" in idx:
-        draws[:, :, idx["beta_z"]] *= y_range
-    draws[:, :, idx["log_sigma"]] += np.log(y_range)
+    draws[:, :, 0] = y_min + y_range * draws[:, :, 0]
+    scale = [y_range / x_scale, y_range, y_range / x_scale, y_range][: len(names)]
+    draws[:, :, 1:-1] *= np.array(scale)
+    draws[:, :, -1] += np.log(y_range)
     return out
 
 

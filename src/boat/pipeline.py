@@ -195,18 +195,29 @@ def reject_non_finite(field: str, values, columns=None) -> None:
         raise SchemaError(f"{field}: non-finite value {values[tuple(bad[0])]} at row {row}")
 
 
+def reject_non_binary(field: str, values) -> None:
+    """ContractError at the first value outside {0, 1}, naming the field, the
+    value and the row; a float NaN or +-inf gets the non-finite error first."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        reject_non_finite(field, values)
+    bad = np.flatnonzero(~np.isin(values, (0, 1)))
+    if bad.size:
+        raise ContractError(f"{field}: non-binary value {values[bad[0]].item()!r} at row {bad[0]}")
+
+
 @dataclass
 class DesignMatrix:
-    """Scaled covariates plus the role columns of one study."""
+    """One study's rows: regressors ``X`` named by ``covariate_names``, a
+    binary treatment ``t`` and an outcome ``y``. A propensity fit passes its
+    scaled covariates as ``X``; the DID and RDD fits build their own
+    regressors and name each column by its coefficient."""
 
     unit_ids: np.ndarray
     X: np.ndarray
     t: np.ndarray
     y: np.ndarray
     covariate_names: list[str]
-    tau: np.ndarray | None = None
-    assignment: np.ndarray | None = None
-    z: np.ndarray | None = None
 
     def __post_init__(self):
         self.unit_ids = np.asarray(self.unit_ids)
@@ -215,10 +226,8 @@ class DesignMatrix:
         if self.y is not None:
             self.y = np.asarray(self.y, dtype=float)
         reject_non_finite("X", self.X, self.covariate_names)
-        for name in ("y", "tau", "assignment", "z"):
-            reject_non_finite(name, getattr(self, name))
-        if not np.all(np.isin(self.t, (0, 1))):
-            raise ContractError("treatment column must be binary")
+        reject_non_finite("y", self.y)
+        reject_non_binary("t", self.t)
         self.t = self.t.astype(int)
 
 

@@ -5,10 +5,15 @@ opaque pair of callables: log_posterior and log_posterior_grad over an
 unconstrained parameter vector. The noise scale, when present, is stored
 as log(sigma) with the matching Jacobian term included in the posterior.
 
-A fit first reduces its data once with :func:`prepare`. For the two
-linear-Gaussian families (``did_linear``, ``rdd_linear``) the likelihood
-depends on the data only through a few sufficient statistics. With the
-design D = [1, C] (n rows), a least-squares solution b_hat and its
+Each design builds its own regressors and passes them as ``data.X`` with
+their names in ``data.covariate_names``; this module only fits them. The
+two linear families (``did_linear``, ``rdd_linear``) are two labels for
+one path, y ~ alpha + X b + noise, kept apart so that evaluations can be
+counted per design.
+
+A fit first reduces its data once with :func:`prepare`. For the linear
+path the likelihood depends on the data only through a few sufficient
+statistics. With D = [1, X] (n rows), a least-squares solution b_hat and its
 residual r0 = y - D b_hat, the normal equations give D^T r0 = 0, so for
 any coefficient vector b
 
@@ -105,19 +110,16 @@ class ModelSpec:
 
     family:
         "logistic"    -- propensity model, Bernoulli(t | sigmoid(a + X b))
-        "did_linear"  -- y ~ a + treat + period + treat*period + X b + noise
-        "rdd_linear"  -- y ~ a + (x-c) + t + (x-c)*t [+ z] + noise
+        "did_linear"  -- y ~ a + X b + noise, X the regressors of the DID
+        "rdd_linear"  -- the same linear model, X the regressors of the RDD
     """
 
     family: str
     priors: PriorSpec = field(default_factory=PriorSpec)
-    cutoff: float | None = None
 
     def __post_init__(self):
         if self.family not in ("logistic", "did_linear", "rdd_linear"):
             raise ValueError(f"unknown model family: {self.family!r}")
-        if self.family == "rdd_linear" and self.cutoff is None:
-            raise ValueError("rdd_linear requires a cutoff")
 
 
 def sigmoid(z):
@@ -130,25 +132,6 @@ def sigmoid(z):
     return out if out.ndim else float(out)
 
 
-def _predictor_matrix(model: ModelSpec, data) -> np.ndarray:
-    """Columns multiplying the coefficient block (C), in the order of
-    :func:`param_names`, one row per observation."""
-    if model.family == "logistic":
-        return np.asarray(data.X, dtype=float)
-    t = np.asarray(data.t, dtype=float)
-    if model.family == "did_linear":
-        tau = np.asarray(data.tau, dtype=float)
-        cols = [t, tau, t * tau]
-        if data.X is not None and data.X.shape[1] > 0:
-            cols.extend(np.asarray(data.X, dtype=float).T)
-    else:
-        xc = np.asarray(data.assignment, dtype=float) - model.cutoff
-        cols = [xc, t, xc * t]
-        if data.z is not None:
-            cols.append(np.asarray(data.z, dtype=float))
-    return np.column_stack(cols)
-
-
 @dataclass(eq=False)
 class PreparedModel:
     """A model with its data reduced once to what an evaluation reads.
@@ -156,7 +139,7 @@ class PreparedModel:
     ``logistic`` keeps the predictor matrix ``X``, ``t`` as floats, the mask
     ``t_mask`` = (t == 1) and a one-slot memo of the last probabilities
     (:func:`_probabilities`). The linear families keep no per-row array:
-    the row count ``n``, the Gram matrix ``gram`` = D^T D of D = [1, C], a
+    the row count ``n``, the Gram matrix ``gram`` = D^T D of D = [1, X], a
     least-squares solution ``b_hat`` and its residual sum of squares ``rss0``.
     """
 
@@ -189,16 +172,18 @@ def prepare(model: ModelSpec, data) -> PreparedModel:
     scales = np.concatenate(
         ([model.priors.alpha_scale], model.priors.beta_scale_vector(n_coef))
     )
-    C = _predictor_matrix(model, data)
+    X = np.asarray(data.X, dtype=float)
+    if X.shape[1] != n_coef:
+        raise ContractError(f"{X.shape[1]} regressor columns but {n_coef} coefficient names")
     if model.family == "logistic":
         t = np.asarray(data.t)
         if not np.all((t == 0) | (t == 1)):
             raise ValueError("t must be 0 or 1")
-        if not np.all(np.isfinite(C)):
+        if not np.all(np.isfinite(X)):
             raise ContractError("model data contain non-finite values")
-        return PreparedModel(model, names, scales, C.shape[0], X=C, t=t.astype(float))
+        return PreparedModel(model, names, scales, X.shape[0], X=X, t=t.astype(float))
     y = np.asarray(data.y, dtype=float)
-    D = np.column_stack([np.ones(len(y)), C])
+    D = np.column_stack([np.ones(len(y)), X])
     if not (np.all(np.isfinite(D)) and np.all(np.isfinite(y))):
         raise ContractError("model data contain non-finite values")
     b_hat = np.linalg.lstsq(D, y, rcond=None)[0]
@@ -223,15 +208,7 @@ def param_names(model: ModelSpec, data) -> list[str]:
         return list(data.names)
     if model.family == "logistic":
         return ["alpha"] + [f"beta_{c}" for c in data.covariate_names]
-    if model.family == "did_linear":
-        names = ["alpha", "theta_treat", "theta_period", "theta_interaction"]
-        if data.X is not None and data.X.shape[1] > 0:
-            names.extend(f"beta_{c}" for c in data.covariate_names)
-    else:
-        names = ["alpha", "beta_slope", "beta_treat", "beta_slope_treat"]
-        if data.z is not None:
-            names.append("beta_z")
-    return names + ["log_sigma"]
+    return ["alpha", *data.covariate_names, "log_sigma"]
 
 
 def param_dim(model: ModelSpec, data) -> int:

@@ -41,7 +41,6 @@ class ScenarioSpec:
     seasonal_amplitude: float = 0.0
     cutoff: float = 60.0
     slope: float = 0.5
-    interaction_slope: float = 0.0
     z_coef: float = 0.5
     noise_sd: float = 0.5
     n_covariates: int = 2
@@ -125,8 +124,8 @@ def simulate_seasonal_panel(spec: ScenarioSpec) -> tuple[PanelDataset, dict]:
 def simulate_discontinuity(spec: ScenarioSpec) -> tuple[RddDataset, dict]:
     """Sharp cutoff on a uniform running variable.
 
-    y = 2 + slope*(x - c) + true_ate*t + interaction_slope*(x - c)*t
-        + z_coef*z + noise, with t = 1(x >= c) and z independent.
+    y = 2 + slope*(x - c) + true_ate*t + z_coef*z + noise, with
+    t = 1(x >= c) and z independent.
     """
     if spec.scenario != "cutoff_rdd":
         raise ValueError("spec.scenario must be 'cutoff_rdd'")
@@ -141,7 +140,6 @@ def simulate_discontinuity(spec: ScenarioSpec) -> tuple[RddDataset, dict]:
         2.0
         + spec.slope * xc
         + spec.true_ate * t
-        + spec.interaction_slope * xc * t
         + spec.z_coef * z
         + rng.normal(0.0, spec.noise_sd, size=n)
     )

@@ -101,21 +101,23 @@ def test_02_gradient_fidelity(criterion):
         rng_data = np.random.default_rng(0)
         n = 30
         for family in ("logistic", "did_linear", "rdd_linear"):
-            dm = DesignMatrix(
-                unit_ids=np.arange(n),
-                X=rng_data.uniform(0, 1, (n, 3)),
-                t=rng_data.integers(0, 2, n),
-                y=rng_data.normal(0, 1, n),
-                covariate_names=["a", "b", "c"],
-                tau=rng_data.integers(0, 2, n).astype(float),
-                assignment=rng_data.uniform(-2, 2, n) + 60.0,
-                z=rng_data.uniform(0, 1, n),
-            )
-            model = ModelSpec(
-                family,
-                PriorSpec(alpha_scale=1.0, beta_scales=0.7),
-                cutoff=60.0 if family == "rdd_linear" else None,
-            )
+            # each family draws X, t, y, tau, a and z in turn; the linear ones
+            # fit the regressors that fit_did and fit_rdd build from them
+            X = rng_data.uniform(0, 1, (n, 3))
+            t, y = rng_data.integers(0, 2, n), rng_data.normal(0, 1, n)
+            tau = rng_data.integers(0, 2, n).astype(float)
+            a, z = rng_data.uniform(-2, 2, n) + 60.0, rng_data.uniform(0, 1, n)
+            tf, xc = t.astype(float), a - 60.0
+            C, names = {
+                "logistic": (X, ["a", "b", "c"]),
+                "did_linear": (np.column_stack([tf, tau, tf * tau, X]),
+                               ["theta_treat", "theta_period", "theta_interaction",
+                                "beta_a", "beta_b", "beta_c"]),
+                "rdd_linear": (np.column_stack([xc, tf, xc * tf, z]),
+                               ["beta_slope", "beta_treat", "beta_slope_treat", "beta_z"]),
+            }[family]
+            dm = DesignMatrix(unit_ids=np.arange(n), X=C, t=t, y=y, covariate_names=names)
+            model = ModelSpec(family, PriorSpec(alpha_scale=1.0, beta_scales=0.7))
             d = param_dim(model, dm)
             rng = np.random.default_rng(42)
             for _ in range(100):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from boat import bdid
 from boat.bdid import (
     PanelDataset,
     ate_did,
@@ -10,6 +11,7 @@ from boat.bdid import (
 )
 from boat.errors import ContractError, InsufficientDataError, SchemaError
 from boat.nuts import PosteriorSamples, SamplerConfig
+from boat.prob_core import param_names
 
 FAST = SamplerConfig(draws=1200, warmup=300, chains=2, seed=0)
 
@@ -151,6 +153,49 @@ class TestFitDid:
         )
         with pytest.raises(ContractError):
             ate_did(post)
+
+
+class TestRegressors:
+    """fit_did builds the long-format regressors itself; the sampler is
+    stubbed to capture what it is handed."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        seen = []
+
+        def fake_sample(model, data, cfg=None):
+            seen.append((model, data))
+            names = param_names(model, data)
+            return PosteriorSamples(param_names=names, draws=np.zeros((1, 3, len(names))))
+
+        monkeypatch.setattr(bdid, "sample", fake_sample)
+        return seen
+
+    @pytest.mark.parametrize("covariates, names", [
+        (None, []),
+        (["age", "km"], ["beta_age", "beta_km"]),
+        ([], ["beta_x0", "beta_x1"]),
+    ], ids=["none", "named", "unnamed"])
+    def test_layout_and_names(self, captured, covariates, names):
+        rng = np.random.default_rng(4)
+        n = 5
+        treated = np.array([1, 0, 1, 0, 0], dtype=bool)
+        X_pre, X_post = (None, None) if covariates is None else rng.normal(size=(2, n, 2))
+        panel = PanelDataset(np.arange(n), rng.normal(size=n), rng.normal(size=n), treated,
+                             X_pre, X_post, covariates or None)
+        post = fit_did(panel)
+        (model, data), = captured
+        assert model.family == "did_linear"
+        rows = []
+        for period, X in ((0.0, X_pre), (1.0, X_post)):
+            for i in range(n):
+                t = float(treated[i])
+                rows.append([t, period, t * period] + ([] if X is None else list(X[i])))
+        assert np.array_equal(data.X, np.array(rows))
+        assert np.array_equal(data.y, np.concatenate([panel.y_pre, panel.y_post]))
+        assert np.array_equal(data.t, np.tile(treated, 2))
+        assert data.covariate_names == ["theta_treat", "theta_period", "theta_interaction", *names]
+        assert post.param_names == ["alpha", *data.covariate_names, "log_sigma"]
 
 
 class TestParallelTrend:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from boat import brdd
 from boat.brdd import (
     RddDataset,
     ate_rdd,
@@ -11,6 +12,7 @@ from boat.brdd import (
 )
 from boat.errors import ContractError, EstimationError, InsufficientDataError, SchemaError
 from boat.nuts import PosteriorSamples, SamplerConfig
+from boat.prob_core import param_names
 
 FAST = SamplerConfig(draws=1200, warmup=300, chains=2, seed=0)
 
@@ -114,6 +116,44 @@ class TestFitRdd:
         assert p.alpha_scale == 1.0
         assert p.beta_scales == 0.5
         assert p.noise_prior == ("half_cauchy", 5.0)
+
+
+class TestRegressors:
+    """fit_rdd builds the local-linear regressors itself; the sampler is
+    stubbed to capture what it is handed and to return draws of ones."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        seen = []
+
+        def fake_sample(model, data, cfg=None):
+            seen.append((model, data))
+            names = param_names(model, data)
+            return PosteriorSamples(param_names=names, draws=np.ones((1, 3, len(names))))
+
+        monkeypatch.setattr(brdd, "sample", fake_sample)
+        return seen
+
+    @pytest.mark.parametrize("with_z", [False, True], ids=["no-z", "z"])
+    def test_layout_names_and_back_transform(self, captured, with_z):
+        d = make_data(seed=5, n=40, with_z=with_z)
+        post = fit_rdd(d)
+        (model, data), = captured
+        assert model.family == "rdd_linear"
+        s = float(np.std(d.assignment - d.cutoff))
+        y_min, y_range = min(d.y), max(d.y) - min(d.y)
+        rows = []
+        for i in range(len(d.y)):
+            xs, t = (d.assignment[i] - d.cutoff) / s, float(d.assignment[i] >= d.cutoff)
+            rows.append([xs, t, xs * t] + ([d.z[i]] if with_z else []))
+        assert np.array_equal(data.X, np.array(rows))
+        assert np.array_equal(data.y, [(v - y_min) / y_range for v in d.y])
+        z_names = ["beta_z"] if with_z else []
+        assert data.covariate_names == ["beta_slope", "beta_treat", "beta_slope_treat", *z_names]
+        assert post.param_names == ["alpha", *data.covariate_names, "log_sigma"]
+        raw = [y_min + y_range, y_range / s, y_range, y_range / s, *([y_range] if with_z else []),
+               1.0 + np.log(y_range)]
+        assert np.array_equal(post.draws, np.tile(raw, (1, 3, 1)))
 
 
 class TestPredictLines:

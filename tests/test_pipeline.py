@@ -353,10 +353,10 @@ class TestBuildDesign:
     def test_binary_treatment_enforced(self):
         from boat.pipeline import DesignMatrix
 
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"^t: non-binary value 2 at row 1$"):
             DesignMatrix(
-                unit_ids=np.arange(2), X=np.zeros((2, 1)), t=np.array([0, 2]),
-                y=np.zeros(2), covariate_names=["x"],
+                unit_ids=np.arange(3), X=np.zeros((3, 1)), t=np.array([0, 2, 1]),
+                y=np.zeros(3), covariate_names=["x"],
             )
 
 
@@ -366,16 +366,11 @@ NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
 
 class TestDesignMatrixBoundary:
     def columns(self):
-        zeros = np.zeros(4)
-        return dict(unit_ids=np.arange(4), X=np.zeros((4, 2)), t=np.array([0, 1, 0, 1]),
-                    y=zeros.copy(), covariate_names=["a", "b"], tau=zeros.copy(),
-                    assignment=zeros.copy(), z=zeros.copy())
+        return dict(unit_ids=np.arange(4), X=np.zeros((4, 2)), t=np.array([0.0, 1.0, 0.0, 1.0]),
+                    y=np.zeros(4), covariate_names=["a", "b"])
 
     @NON_FINITE
-    @pytest.mark.parametrize("field, label", [
-        ("X", "X covariate 'b'"), ("y", "y"), ("tau", "tau"), ("assignment", "assignment"),
-        ("z", "z"),
-    ])
+    @pytest.mark.parametrize("field, label", [("X", "X covariate 'b'"), ("y", "y"), ("t", "t")])
     def test_non_finite_rejected_naming_field_and_row(self, field, label, value):
         columns = self.columns()
         columns[field][(2, 1) if field == "X" else 2] = value

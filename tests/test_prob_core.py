@@ -24,25 +24,32 @@ from boat.prob_core import (
 from densities import bernoulli_logpmf, half_cauchy_logpdf, normal_logpdf
 
 
+def design(family, X, t, y, tau, a, z, covariates):
+    """A DesignMatrix whose X is the logistic covariates, or the regressor
+    block that fit_did ([t, tau, t*tau, X]) or fit_rdd ([a - 60, t,
+    (a - 60)*t, z]) builds from the same draws."""
+    tf = t.astype(float)
+    if family == "logistic":
+        C, names = X, covariates
+    elif family == "did_linear":
+        C = np.column_stack([tf, tau, tf * tau, X])
+        names = ["theta_treat", "theta_period", "theta_interaction",
+                 *(f"beta_{c}" for c in covariates)]
+    else:
+        xc = a - 60.0
+        C = np.column_stack([xc, tf, xc * tf, z])
+        names = ["beta_slope", "beta_treat", "beta_slope_treat", "beta_z"]
+    return DesignMatrix(unit_ids=np.arange(len(t)), X=C, t=t, y=y, covariate_names=names)
+
+
 def make_data(family, n=30, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 1, (n, 3))
-    dm = DesignMatrix(
-        unit_ids=np.arange(n),
-        X=X,
-        t=rng.integers(0, 2, n),
-        y=rng.normal(0, 1, n),
-        covariate_names=["a", "b", "c"],
-        tau=rng.integers(0, 2, n).astype(float),
-        assignment=rng.uniform(-2, 2, n) + 60.0,
-        z=rng.uniform(0, 1, n),
-    )
-    model = ModelSpec(
-        family,
-        PriorSpec(alpha_scale=1.0, beta_scales=0.7),
-        cutoff=60.0 if family == "rdd_linear" else None,
-    )
-    return model, dm
+    t, y = rng.integers(0, 2, n), rng.normal(0, 1, n)
+    tau = rng.integers(0, 2, n).astype(float)
+    a, z = rng.uniform(-2, 2, n) + 60.0, rng.uniform(0, 1, n)
+    dm = design(family, X, t, y, tau, a, z, ["a", "b", "c"])
+    return ModelSpec(family, PriorSpec(alpha_scale=1.0, beta_scales=0.7)), dm
 
 
 class TestSigmoid:
@@ -222,7 +229,6 @@ class TestLogPosterior:
         dm2 = DesignMatrix(
             unit_ids=dm.unit_ids[perm], X=dm.X[perm], t=dm.t[perm], y=dm.y[perm],
             covariate_names=dm.covariate_names,
-            tau=dm.tau[perm], assignment=dm.assignment[perm], z=dm.z[perm],
         )
         p = rng.uniform(-2, 2, param_dim(model, dm))
         a, b = log_posterior(model, dm, p), log_posterior(model, dm2, p)
@@ -279,24 +285,15 @@ class TestPriorSpec:
             PriorSpec(noise_prior=("half_cauchy", 0.0))
 
 
-def design_rows(model, dm):
-    """Rows of D = [1, C] for the linear families, built one row at a time."""
-    rows = []
-    for i in range(len(dm.y)):
-        t = float(dm.t[i])
-        if model.family == "did_linear":
-            tau = float(dm.tau[i])
-            rows.append([1.0, t, tau, t * tau, *map(float, dm.X[i])])
-        else:
-            xc = float(dm.assignment[i]) - model.cutoff
-            rows.append([1.0, xc, t, xc * t] + ([float(dm.z[i])] if dm.z is not None else []))
-    return rows
+def design_rows(dm):
+    """Rows of D = [1, X] for the linear families, built one row at a time."""
+    return [[1.0, *map(float, row)] for row in dm.X]
 
 
 def rowwise_reference(model, dm, params):
     """Log-posterior and gradient from per-row residuals, summed exactly."""
     b, log_sigma = [float(v) for v in params[:-1]], float(params[-1])
-    rows = design_rows(model, dm)
+    rows = design_rows(dm)
     resid = [Fraction(float(y)) - sum(Fraction(c) * Fraction(bj) for c, bj in zip(row, b))
              for row, y in zip(rows, dm.y)]
     rss = float(sum(r * r for r in resid))
@@ -320,17 +317,16 @@ def linear_case(family, case, n=40, seed=0):
     X = rng.uniform(0, 1, (n, 2))
     if case == "constant_covariate":
         X[:, 1] = 0.5
-    dm = DesignMatrix(
-        unit_ids=np.arange(n), X=X, t=rng.integers(0, 2, n), y=rng.normal(0, 1, n),
-        covariate_names=["a", "b"], tau=rng.integers(0, 2, n).astype(float),
-        assignment=rng.uniform(-2, 2, n) + 60.0,
-        z=rng.uniform(0, 1, n) if case != "constant_covariate" else np.full(n, 0.5),
-    )
-    model = ModelSpec(family, PriorSpec(alpha_scale=1.0, beta_scales=0.7), cutoff=60.0)
+    t, y = rng.integers(0, 2, n), rng.normal(0, 1, n)
+    tau = rng.integers(0, 2, n).astype(float)
+    a = rng.uniform(-2, 2, n) + 60.0
+    z = rng.uniform(0, 1, n) if case != "constant_covariate" else np.full(n, 0.5)
+    dm = design(family, X, t, y, tau, a, z, ["a", "b"])
+    model = ModelSpec(family, PriorSpec(alpha_scale=1.0, beta_scales=0.7))
     if case == "large_offset":
         dm.y = 1e6 + dm.y
     elif case == "near_exact_fit":
-        D = np.array(design_rows(model, dm))
+        D = np.array(design_rows(dm))
         dm.y = D @ rng.uniform(-1, 1, D.shape[1]) + 1e-9 * rng.normal(size=n)
     return model, dm
 
@@ -345,7 +341,7 @@ def test_prepared_linear_matches_rowwise_reference(family, case):
     d = len(prep.names)
     center = np.zeros(d - 1)
     if len(dm.y):
-        center = np.linalg.lstsq(np.array(design_rows(model, dm)), dm.y, rcond=None)[0]
+        center = np.linalg.lstsq(np.array(design_rows(dm)), dm.y, rcond=None)[0]
     rng = np.random.default_rng(1)
     points = [rng.uniform(-2, 2, d) for _ in range(4)]
     points += [np.append(center + rng.normal(0, 0.05, d - 1), rng.normal(-1, 0.5))
@@ -378,6 +374,14 @@ def test_prepared_for_other_model_is_rejected():
     other = ModelSpec("did_linear", PriorSpec(alpha_scale=2.0, beta_scales=0.7))
     with pytest.raises(ContractError):
         log_posterior(other, prep, np.zeros(len(prep.names)))
+
+
+@pytest.mark.parametrize("family", ["logistic", "did_linear", "rdd_linear"])
+def test_names_must_match_regressor_columns(family):
+    model, dm = make_data(family)
+    dm.covariate_names = dm.covariate_names[:-1]
+    with pytest.raises(ContractError, match=r"^\d+ regressor columns but \d+ coefficient names$"):
+        prepare(model, dm)
 
 
 def test_non_finite_data_rejected():
