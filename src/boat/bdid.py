@@ -55,6 +55,15 @@ class PanelDataset:
             raise ContractError("both groups must be non-empty")
         if (self.X_pre is None) != (self.X_post is None):
             raise ContractError("covariates must be given for both periods or neither")
+        if self.X_pre is not None:
+            width = np.shape(self.X_pre)[1] if np.ndim(self.X_pre) == 2 else "k"
+            for name in ("X_pre", "X_post"):
+                if np.shape(getattr(self, name)) != (n, width):
+                    raise ContractError(f"{name} has shape {np.shape(getattr(self, name))}, "
+                                        f"expected ({n}, {width})")
+            names = self.covariate_names
+            if names is not None and len(names) != width:
+                raise ContractError(f"covariate_names has {len(names)} names for {width} columns")
         for name in ("y_pre", "y_post", "X_pre", "X_post"):
             reject_non_finite(name, getattr(self, name), self.covariate_names)
 

@@ -106,7 +106,7 @@ def fit_propensity(
             "covariates are not scaled to [0, 1]; priors assume scaled inputs",
             UserWarning,
         )
-    model = ModelSpec("logistic", priors or PriorSpec(noise_prior=None))
+    model = ModelSpec("logistic", priors or PriorSpec())
     return sample(model, data, cfg=cfg or SamplerConfig())
 
 

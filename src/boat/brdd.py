@@ -79,7 +79,7 @@ class RddDataset:
 
 
 def default_rdd_priors() -> PriorSpec:
-    return PriorSpec(alpha_scale=1.0, beta_scales=0.5, noise_prior=("half_cauchy", 5.0))
+    return PriorSpec(alpha_scale=1.0, beta_scales=0.5)
 
 
 def fit_rdd(

@@ -180,8 +180,7 @@ def _fit_bpsm(args, table: _Table):
     X = min_max_scale(X, covariates)
     data = DesignMatrix(unit_ids=unit_ids, X=X, t=t, y=y, covariate_names=covariates)
 
-    priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scales=args.beta_scale,
-                       noise_prior=None)
+    priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scales=args.beta_scale)
     posterior = bpsm.fit_propensity(data, priors, _sampler_config(args))
     scores = bpsm.propensity_scores(posterior, data)
     if args.match == "nn":

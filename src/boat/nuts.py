@@ -60,6 +60,10 @@ BASE_WINDOW = 25
 # would swamp S.
 SHRINK_DRAWS = 5
 SHRINK_WEIGHT = 1e-3
+# Dual averaging's shrinkage, iteration offset and averaging decay, as in Stan.
+DA_GAMMA = 0.05
+DA_T0 = 10.0
+DA_KAPPA = 0.75
 
 
 @dataclass(frozen=True)
@@ -266,24 +270,19 @@ def _nuts_transition(q0, logp0, grad0, step, rng, target, max_tree_depth):
 class DualAveraging:
     """Nesterov dual-averaging step-size adaptation (warm-up only)."""
 
-    def __init__(self, initial_step, target_accept=0.8, gamma=0.05, t0=10.0, kappa=0.75):
-        self.mu = np.log(initial_step)
+    def __init__(self, initial_step, target_accept=0.8):
+        self.mu = self.log_step = self.log_step_bar = np.log(initial_step)
         self.target = target_accept
-        self.gamma = gamma
-        self.t0 = t0
-        self.kappa = kappa
         self.h_bar = 0.0
-        self.log_step_bar = np.log(initial_step)
-        self.log_step = np.log(initial_step)
         self.m = 0
 
     def update(self, accept_stat) -> float:
         """Feed one acceptance statistic; returns the next step size."""
         self.m += 1
-        frac = 1.0 / (self.m + self.t0)
+        frac = 1.0 / (self.m + DA_T0)
         self.h_bar = (1.0 - frac) * self.h_bar + frac * (self.target - accept_stat)
-        self.log_step = self.mu - np.sqrt(self.m) / self.gamma * self.h_bar
-        eta = self.m**-self.kappa
+        self.log_step = self.mu - np.sqrt(self.m) / DA_GAMMA * self.h_bar
+        eta = self.m**-DA_KAPPA
         self.log_step_bar = eta * self.log_step + (1.0 - eta) * self.log_step_bar
         return float(np.exp(self.log_step))
 

@@ -223,8 +223,7 @@ class DesignMatrix:
         self.unit_ids = np.asarray(self.unit_ids)
         self.X = np.asarray(self.X, dtype=float)
         self.t = np.asarray(self.t)
-        if self.y is not None:
-            self.y = np.asarray(self.y, dtype=float)
+        self.y = np.asarray(self.y, dtype=float)
         reject_non_finite("X", self.X, self.covariate_names)
         reject_non_finite("y", self.y)
         reject_non_binary("t", self.t)

@@ -112,6 +112,22 @@ class TestPanelDataset:
             )
 
 
+    @pytest.mark.parametrize("X_pre, X_post, names, message", [
+        ((4, 2), (4, 3), None, "X_post has shape (4, 3), expected (4, 2)"),
+        ((3, 2), (4, 2), None, "X_pre has shape (3, 2), expected (4, 2)"),
+        ((4, 2), (5, 2), None, "X_post has shape (5, 2), expected (4, 2)"),
+        ((4,), (4,), None, "X_pre has shape (4,), expected (4, k)"),
+        ((4, 2), (4, 2), ["a"], "covariate_names has 1 names for 2 columns"),
+        ((4, 2), (4, 2), ["a", "b", "c"], "covariate_names has 3 names for 2 columns"),
+    ], ids=["widths", "pre-rows", "post-rows", "one-dimensional", "few-names", "many-names"])
+    def test_covariate_shapes_rejected_naming_field(self, X_pre, X_post, names, message):
+        with pytest.raises(ContractError) as err:
+            PanelDataset(unit_ids=np.arange(4), y_pre=np.zeros(4), y_post=np.zeros(4),
+                         treated=np.array([1, 0, 0, 1]), X_pre=np.zeros(X_pre),
+                         X_post=np.zeros(X_post), covariate_names=names)
+        assert str(err.value) == message
+
+
 class TestFitDid:
     def test_recovers_interaction(self):
         panel = make_panel(seed=1, effect=1.0)

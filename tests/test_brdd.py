@@ -115,7 +115,7 @@ class TestFitRdd:
         p = default_rdd_priors()
         assert p.alpha_scale == 1.0
         assert p.beta_scales == 0.5
-        assert p.noise_prior == ("half_cauchy", 5.0)
+        assert p.noise_scale == 5.0
 
 
 class TestRegressors:

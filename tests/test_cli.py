@@ -177,6 +177,20 @@ class TestBpsmCommand:
         assert fits == []
         assert not out.exists()
 
+    def test_nan_beta_scale_errors(self, tmp_path, capsys, monkeypatch):
+        data = self.make_data(tmp_path)
+        out = tmp_path / "run"
+        fits = []
+        monkeypatch.setattr(bpsm, "fit_propensity", lambda *args: fits.append(args))
+        code = main(["bpsm", "--data", str(data), "--covariates", "x1,x2",
+                     "--beta-scale", "nan", "--out", str(out), *FAST])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"] == "beta_scales must be finite and > 0, got nan"
+        assert fits == []
+        assert not out.exists()
+
     def test_missing_column_errors(self, tmp_path, capsys):
         data = self.make_data(tmp_path)
         out = tmp_path / "run"

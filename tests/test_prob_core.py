@@ -12,7 +12,8 @@ from boat.pipeline import DesignMatrix
 from boat.prob_core import (
     PROB_FLOOR,
     ModelSpec,
-    PreparedModel,
+    PreparedLinear,
+    PreparedLogistic,
     PriorSpec,
     log_posterior,
     log_posterior_grad,
@@ -186,7 +187,7 @@ class TestLogPosterior:
             y=np.zeros(n),
             covariate_names=["a", "b"],
         )
-        model = ModelSpec("logistic", PriorSpec(1.0, 1.0, noise_prior=None))
+        model = ModelSpec("logistic", PriorSpec(1.0, 1.0))
         expected = n * math.log(0.5) + 3 * normal_logpdf(0, 0, 1)
         assert log_posterior(model, dm, np.zeros(3)) == pytest.approx(expected, abs=1e-10)
 
@@ -195,7 +196,7 @@ class TestLogPosterior:
             unit_ids=np.array([]), X=np.empty((0, 2)), t=np.array([]),
             y=np.array([]), covariate_names=["a", "b"],
         )
-        model = ModelSpec("logistic", PriorSpec(1.0, 1.0, noise_prior=None))
+        model = ModelSpec("logistic", PriorSpec(1.0, 1.0))
         p = np.array([0.3, -1.1, 0.4])
         expected = normal_logpdf(0.3, 0, 1) + normal_logpdf(-1.1, 0, 1) + normal_logpdf(0.4, 0, 1)
         assert log_posterior(model, dm, p) == pytest.approx(expected, abs=1e-12)
@@ -207,7 +208,7 @@ class TestLogPosterior:
             unit_ids=np.arange(3), X=x[:, None], t=t, y=np.zeros(3),
             covariate_names=["x"],
         )
-        model = ModelSpec("logistic", PriorSpec(1.0, 1.0, noise_prior=None))
+        model = ModelSpec("logistic", PriorSpec(1.0, 1.0))
         alpha, beta = 0.5, -1.0
         expected = normal_logpdf(alpha, 0, 1) + normal_logpdf(beta, 0, 1)
         for xi, ti in zip(x, t):
@@ -259,7 +260,7 @@ class TestGradient:
             unit_ids=np.arange(4), X=x[:, None], t=t, y=np.zeros(4),
             covariate_names=["x"],
         )
-        model = ModelSpec("logistic", PriorSpec(1.0, 1.0, noise_prior=None))
+        model = ModelSpec("logistic", PriorSpec(1.0, 1.0))
         g = log_posterior_grad(model, dm, np.zeros(2))
         assert g[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -268,7 +269,7 @@ class TestGradient:
             unit_ids=np.array([]), X=np.empty((0, 2)), t=np.array([]),
             y=np.array([]), covariate_names=["a", "b"],
         )
-        model = ModelSpec("logistic", PriorSpec(2.0, (0.5, 3.0), noise_prior=None))
+        model = ModelSpec("logistic", PriorSpec(2.0, (0.5, 3.0)))
         p = np.array([1.0, -0.4, 2.2])
         g = log_posterior_grad(model, dm, p)
         expected = -p / np.array([2.0, 0.5, 3.0]) ** 2
@@ -282,7 +283,19 @@ class TestPriorSpec:
         with pytest.raises(ValueError):
             PriorSpec(beta_scales=(1.0, -1.0))
         with pytest.raises(ValueError):
-            PriorSpec(noise_prior=("half_cauchy", 0.0))
+            PriorSpec(noise_scale=0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["alpha_scale", "beta_scales", "noise_scale"])
+    def test_rejects_non_finite_scales_naming_field_and_value(self, field, value):
+        with pytest.raises(ValueError) as err:
+            PriorSpec(**{field: value})
+        assert str(err.value) == f"{field} must be finite and > 0, got {value!r}"
+
+    def test_rejects_non_finite_scale_in_sequence(self):
+        with pytest.raises(ValueError) as err:
+            PriorSpec(beta_scales=(1.0, np.nan))
+        assert str(err.value) == "beta_scales must be finite and > 0, got (1.0, nan)"
 
 
 def design_rows(dm):
@@ -302,7 +315,7 @@ def rowwise_reference(model, dm, params):
     pri = model.priors
     scales = np.concatenate(([pri.alpha_scale], pri.beta_scale_vector(len(b) - 1)))
     n, sigma = len(rows), math.exp(log_sigma)
-    s = pri.noise_prior[1]
+    s = pri.noise_scale
     logp = (sum(normal_logpdf(bj, 0.0, sj) for bj, sj in zip(b, scales))
             + half_cauchy_logpdf(sigma, s) + log_sigma
             + sum(-0.5 * math.log(2 * math.pi) - log_sigma - float(r * r) / (2 * sigma**2)
@@ -322,7 +335,8 @@ def linear_case(family, case, n=40, seed=0):
     a = rng.uniform(-2, 2, n) + 60.0
     z = rng.uniform(0, 1, n) if case != "constant_covariate" else np.full(n, 0.5)
     dm = design(family, X, t, y, tau, a, z, ["a", "b"])
-    model = ModelSpec(family, PriorSpec(alpha_scale=1.0, beta_scales=0.7))
+    noise_scale = 2.0 if case == "noise_scale_2" else 5.0
+    model = ModelSpec(family, PriorSpec(alpha_scale=1.0, beta_scales=0.7, noise_scale=noise_scale))
     if case == "large_offset":
         dm.y = 1e6 + dm.y
     elif case == "near_exact_fit":
@@ -333,11 +347,11 @@ def linear_case(family, case, n=40, seed=0):
 
 @pytest.mark.parametrize("family", ["did_linear", "rdd_linear"])
 @pytest.mark.parametrize("case", ["plain", "large_offset", "near_exact_fit",
-                                  "constant_covariate", "empty"])
+                                  "constant_covariate", "empty", "noise_scale_2"])
 def test_prepared_linear_matches_rowwise_reference(family, case):
     model, dm = linear_case(family, case, n=0 if case == "empty" else 40)
     prep = prepare(model, dm)
-    assert isinstance(prep, PreparedModel)
+    assert isinstance(prep, PreparedLinear) and prep.noise_scale == model.priors.noise_scale
     d = len(prep.names)
     center = np.zeros(d - 1)
     if len(dm.y):
@@ -361,9 +375,13 @@ def test_prepared_model_contents(family):
     model, dm = make_data(family, n=500)
     prep = prepare(model, dm)
     assert param_names(model, prep) == param_names(model, dm) == list(prep.names)
+    logistic_only = {"X", "t", "t_mask", "_memo"}
+    linear_only = {"n", "gram", "b_hat", "rss0", "noise_scale", "noise_lognorm"}
     if family == "logistic":
+        assert type(prep) is PreparedLogistic and not linear_only & set(vars(prep))
         assert prep.X.shape == (500, 3) and prep.t.dtype == float
     else:
+        assert type(prep) is PreparedLinear and not logistic_only & set(vars(prep))
         arrays = [v for v in vars(prep).values() if isinstance(v, np.ndarray)]
         assert max(a.size for a in arrays) <= len(prep.names) ** 2
 
@@ -394,30 +412,29 @@ def test_non_finite_data_rejected():
 @pytest.mark.parametrize("family", ["logistic", "did_linear", "rdd_linear"])
 def test_sample_routes_every_evaluation_through_nuts_module_functions(family, monkeypatch):
     model, dm = make_data(family, n=40)
-    splits, calls = [0], {"log_posterior": 0, "log_posterior_grad": 0}
-    split = prob_core._split
+    evaluator = type(prepare(model, dm))
+    methods = {"log_posterior": "logp", "log_posterior_grad": "grad"}
+    calls = {name: 0 for name in (*methods, *methods.values())}
 
-    def counting_split(prep, params):
-        splits[0] += 1
-        return split(prep, params)
-
-    def counted(name):
-        fn = getattr(nuts, name)
+    def counted(owner, name):
+        fn = getattr(owner, name)
 
         def wrapper(*args):
-            assert isinstance(args[0], ModelSpec) and args[0].family == family
-            assert isinstance(args[1], PreparedModel)
+            if owner is nuts:
+                assert isinstance(args[0], ModelSpec) and args[0].family == family
+                assert isinstance(args[1], evaluator)
             calls[name] += 1
             return fn(*args)
 
         return wrapper
 
-    monkeypatch.setattr(prob_core, "_split", counting_split)
-    for name in calls:
-        monkeypatch.setattr(nuts, name, counted(name))
+    for name, method in methods.items():
+        monkeypatch.setattr(nuts, name, counted(nuts, name))
+        monkeypatch.setattr(evaluator, method, counted(evaluator, method))
     nuts.sample(model, dm, cfg=nuts.SamplerConfig(draws=30, warmup=10, chains=2, seed=0))
-    assert calls["log_posterior"] > 0 and calls["log_posterior_grad"] > 0
-    assert calls["log_posterior"] + calls["log_posterior_grad"] == splits[0]
+    for name, method in methods.items():
+        assert calls[name] > 0
+        assert calls[name] == calls[method]
 
 
 @pytest.mark.parametrize("family", ["logistic", "did_linear", "rdd_linear"])
@@ -431,12 +448,19 @@ def test_sample_takes_one_path_for_a_model_and_its_compiled_target(family):
     assert direct.chain_stats == compiled.chain_stats
 
 
+def prior_scales(prep):
+    pri = prep.model.priors
+    return np.concatenate(([pri.alpha_scale], pri.beta_scale_vector(len(prep.names) - 1)))
+
+
 def reference_logistic_log_posterior(prep, params):
     """Log-posterior with t log p + (1 - t) log1p(-p) over the masked sigmoid."""
     b = np.asarray(params, dtype=float)
+    scales = prior_scales(prep)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        total = prob_core._prior_logdensity(prep, b, None)
-        if prep.n:
+        lp = -0.5 * np.log(2.0 * np.pi) - np.log(scales) - b**2 / (2.0 * scales**2)
+        total = float(lp[0] + float(np.sum(lp[1:])))
+        if len(prep.t):
             p = np.clip(reference_sigmoid(b[0] + prep.X @ b[1:]), PROB_FLOOR, 1.0 - PROB_FLOOR)
             total += float(np.sum(prep.t * np.log(p) + (1.0 - prep.t) * np.log1p(-p)))
     return total if np.isfinite(total) else -np.inf
@@ -445,8 +469,8 @@ def reference_logistic_log_posterior(prep, params):
 def reference_logistic_grad(prep, params):
     b = np.asarray(params, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g = -b / prep.prior_var
-        if prep.n:
+        g = -b / prior_scales(prep) ** 2
+        if len(prep.t):
             resid = prep.t - reference_sigmoid(b[0] + prep.X @ b[1:])
             g[0] += float(np.sum(resid))
             g[1:] += prep.X.T @ resid
@@ -461,7 +485,7 @@ def logistic_case(n, k, t_kind, seed):
         unit_ids=np.arange(n), X=rng.normal(0, rng.choice([0.1, 1.0, 10.0]), (n, k)),
         t=t, y=np.zeros(n), covariate_names=[f"c{j}" for j in range(k)],
     )
-    return ModelSpec("logistic", PriorSpec(1.0, 0.7, noise_prior=None)), dm, rng
+    return ModelSpec("logistic", PriorSpec(1.0, 0.7)), dm, rng
 
 
 class TestLogisticMatchesReference:
