@@ -36,8 +36,8 @@ for r in rejects:
 
 kept, discarded = filter_trips(trips)
 print(f"\nkept {len(kept)} after filtering, dropped {len(discarded)}:")
-for trip, reason in discarded:
-    print(f"  vehicle {trip.vehicle_id}: {reason}")
+for vehicle_id, reason in discarded:
+    print(f"  vehicle {vehicle_id}: {reason}")
 
 aggregates, excluded = aggregate_to_vehicle(kept, target_spec="fuel_per_km")
 print(f"\n{len(aggregates)} vehicle aggregates (targets in g fuel per km):")

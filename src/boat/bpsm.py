@@ -40,8 +40,6 @@ __all__ = [
     "balance_report",
     "positivity_check",
     "ate_psm",
-    "cate",
-    "standardized_mean_difference",
 ]
 
 DEFAULT_CALIPER = 0.05
@@ -81,9 +79,6 @@ class MatchResult:
 
     def treated_ids(self):
         return [t for t, _, _ in self.pairs]
-
-    def total_distance(self) -> float:
-        return float(sum(d for _, _, d in self.pairs))
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -292,15 +287,6 @@ def balance_report(match: MatchResult, data: DesignMatrix) -> dict:
     return report
 
 
-def standardized_mean_difference(x_treated, x_control) -> float:
-    x_t = np.asarray(x_treated, dtype=float)
-    x_c = np.asarray(x_control, dtype=float)
-    denom = np.sqrt((np.var(x_t, ddof=1) + np.var(x_c, ddof=1)) / 2.0)
-    if denom == 0:
-        return 0.0
-    return float((np.mean(x_t) - np.mean(x_c)) / denom)
-
-
 def positivity_check(scores: PropensityScores, bins: int = 10) -> dict:
     """Flag score-histogram bins occupied by only one group."""
     if bins < 2:
@@ -345,21 +331,3 @@ def ate_psm(match: MatchResult, y) -> ATEEstimate:
         estimand="ate_psm",
     )
 
-
-def cate(data: DesignMatrix, y, subgroup) -> ATEEstimate:
-    """ATE restricted to the rows whose covariates satisfy ``subgroup``.
-
-    ``subgroup`` is a predicate over a {covariate name: value} mapping.
-    """
-    y = np.asarray(y, dtype=float)
-    mask = np.array(
-        [
-            bool(subgroup(dict(zip(data.covariate_names, row))))
-            for row in data.X
-        ]
-    )
-    t = data.t[mask]
-    if not np.any(t == 1) or not np.any(t == 0):
-        raise PositivityError("subgroup must contain both treated and control units")
-    est = effects.mean_difference(y[mask][t == 1], y[mask][t == 0], estimand="cate")
-    return est

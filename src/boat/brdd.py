@@ -181,8 +181,8 @@ def density_continuity_check(assignment, cutoff: float, bandwidth: float) -> dic
     exact two-sided binomial test against a 0.5 split. ``ratio`` (right
     over left) is None when the left window is empty.
     """
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be > 0")
+    if not bandwidth > 0:  # also rejects NaN
+        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     x = np.asarray(assignment, dtype=float)
     left = int(np.sum((x > cutoff - bandwidth) & (x < cutoff)))
     right = int(np.sum((x >= cutoff) & (x < cutoff + bandwidth)))

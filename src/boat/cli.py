@@ -214,8 +214,15 @@ def _fit_bdid(args, table: _Table):
     y = table.floats(args.target)
 
     per_unit: dict = {}
-    for uid, period, ti, yi in zip(unit_ids, periods, t, y):
-        per_unit.setdefault(uid, {})[period] = (ti, yi)
+    for row, (uid, period, ti, yi) in enumerate(zip(unit_ids, periods, t, y), start=2):
+        obs = per_unit.setdefault(uid, {})
+        if period in obs:
+            raise SchemaError(f"{table.path}: unit {uid!r} has a second {period} row "
+                              f"(row {row})")
+        if any(tj != ti for tj, _ in obs.values()):
+            raise SchemaError(f"{table.path}: unit {uid!r} changes group between periods "
+                              f"(row {row})")
+        obs[period] = (ti, yi)
     for uid, obs in per_unit.items():
         if set(obs) != {"pre", "post"}:
             raise SchemaError(f"{table.path}: unit {uid!r} not observed in both periods")
@@ -264,17 +271,17 @@ def _fit_brdd(args, table: _Table):
         if z is None:
             raise SchemaError("--z-filter requires --z-col")
         data = data.filtered(_parse_z_filter(args.z_filter)(data.z))
+    bandwidth = args.bandwidth
+    if bandwidth is None:
+        bandwidth = 0.1 * (data.assignment.max() - data.assignment.min())
+    # before the fit, which takes most of a run, so a bad --bandwidth fails fast
+    density = brdd.density_continuity_check(data.assignment, args.cutoff, bandwidth)
 
     priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scales=args.beta_scale)
     posterior = brdd.fit_rdd(data, priors, _sampler_config(args))
     ate = brdd.ate_rdd(posterior)
 
-    bandwidth = args.bandwidth or 0.1 * (data.assignment.max() - data.assignment.min())
-    report = {
-        "density_continuity": brdd.density_continuity_check(
-            data.assignment, args.cutoff, bandwidth),
-        "n_rows_fitted": len(data.y),
-    }
+    report = {"density_continuity": density, "n_rows_fitted": len(data.y)}
     xs = np.linspace(data.assignment.min(), data.assignment.max(), 101)
     z_fixed = float(np.mean(data.z)) if data.z is not None else 0.0
     lines = brdd.predict_lines(posterior, xs, args.cutoff, z_fixed)

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, PositivityError
+from .errors import PositivityError
 
-__all__ = ["ATEEstimate", "Z_94", "naive_ate", "mean_difference"]
+__all__ = ["ATEEstimate", "Z_94", "naive_ate"]
 
 # standard-normal quantile at 0.97 (central 94% interval half-width in SDs)
 Z_94 = 1.8807936081512509
@@ -53,12 +53,14 @@ def from_draws(draws, estimand: str) -> ATEEstimate:
     )
 
 
-def mean_difference(y_treated, y_control, estimand: str) -> ATEEstimate:
-    """Difference of group means with a two-sample 94% normal interval."""
-    y_t = np.asarray(y_treated, dtype=float)
-    y_c = np.asarray(y_control, dtype=float)
-    if y_t.size == 0 or y_c.size == 0:
-        raise EstimationError("both groups must be non-empty")
+def naive_ate(t, y) -> ATEEstimate:
+    """Unadjusted treated-minus-control mean difference with a two-sample
+    94% normal interval."""
+    t = np.asarray(t).astype(int)
+    y = np.asarray(y, dtype=float)
+    if not np.any(t == 1) or not np.any(t == 0):
+        raise PositivityError("need both treated and control units")
+    y_t, y_c = y[t == 1], y[t == 0]
     point = float(np.mean(y_t) - np.mean(y_c))
     se = float(
         np.sqrt(
@@ -68,14 +70,5 @@ def mean_difference(y_treated, y_control, estimand: str) -> ATEEstimate:
     return ATEEstimate(
         point=point,
         interval=(point - Z_94 * se, point + Z_94 * se),
-        estimand=estimand,
+        estimand="ate",
     )
-
-
-def naive_ate(t, y) -> ATEEstimate:
-    """Unadjusted treated-minus-control mean difference."""
-    t = np.asarray(t).astype(int)
-    y = np.asarray(y, dtype=float)
-    if not np.any(t == 1) or not np.any(t == 0):
-        raise PositivityError("need both treated and control units")
-    return mean_difference(y[t == 1], y[t == 0], estimand="ate")

@@ -22,7 +22,7 @@ class EstimationError(BoatError, ValueError):
 
 
 class PositivityError(EstimationError):
-    """A subgroup or dataset contains only one treatment arm."""
+    """A dataset contains only one treatment arm."""
 
 
 class InsufficientDataError(BoatError, ValueError):

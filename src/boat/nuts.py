@@ -26,7 +26,6 @@ each window.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -158,12 +157,6 @@ class PosteriorSamples:
         flat = self.draws.reshape(-1, self.draws.shape[2])
         header = ",".join(self.param_names)
         np.savetxt(path, flat, delimiter=",", header=header, comments="")
-
-    def summary_json(self, path) -> None:
-        """Write :func:`summarize` as strict JSON (a non-finite R-hat is null)."""
-        text = json.dumps(summarize(self), indent=2, allow_nan=False)
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def leapfrog(q, p, grad, step, grad_fn):

@@ -9,8 +9,8 @@ The trips CSV schema (comma-separated, UTF-8, ISO-8601 timestamps):
 
 Either fuel_g or energy_wh may be empty, but not both.
 
-Trips are held as columns. A :class:`TripTable` has one numpy array per
-field; a :class:`TripRecord` is built only for a row someone indexes.
+Trips are held as columns: a :class:`TripTable` has one numpy array per
+field, and no per-row object is built.
 
 ``ingest_trips`` reads the CSV with ``csv.reader`` in blocks of
 ``_BLOCK_ROWS`` rows, so only one block's cells are held as strings at a
@@ -46,7 +46,6 @@ import numpy as np
 from .errors import ContractError, ScalingError, SchemaError
 
 __all__ = [
-    "TripRecord",
     "TripTable",
     "VehicleAggregate",
     "DesignMatrix",
@@ -97,38 +96,17 @@ _UNIX_ORDINAL = datetime(1970, 1, 1).toordinal()
 _UTC = timezone.utc
 
 
-@dataclass(frozen=True)
-class TripRecord:
-    """One trip: the row view of a :class:`TripTable`."""
-
-    vehicle_id: str
-    start_time: datetime
-    end_time: datetime
-    distance_km: float
-    duration_h: float
-    fuel_g: float | None
-    energy_wh: float | None
-    soc_start_pct: float
-    soc_end_pct: float
-    ambient_temp_c: float
-    engine_starts: int
-    trailer: bool
-    drive_mode: str
-    odometer_km: float
-    max_speed_kmh: float
-    group: str
-
-
 @dataclass(frozen=True, eq=False)
 class TripTable:
     """Trips as columns: row i of every array is trip i.
 
-    The fields are TripRecord's plus the timestamps' UTC offsets.
-    start_time/end_time hold the wall-clock time as written
+    The fields are the trips CSV's columns plus the timestamps' UTC
+    offsets. start_time/end_time hold the wall-clock time as written
     (datetime64[us]); start_utcoffset/end_utcoffset hold its offset
     (timedelta64[us], NaT for a naive stamp). fuel_g/energy_wh are NaN
-    where the cell was empty. An int index gives that trip's TripRecord;
-    a slice, mask or index array gives a TripTable.
+    where the cell was empty. A slice, mask or index array gives a
+    TripTable; an int raises TypeError, so a table is not iterated row
+    by row.
     """
 
     vehicle_id: np.ndarray
@@ -155,19 +133,9 @@ class TripTable:
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            return self._record(range(len(self))[key])
+            raise TypeError("a TripTable has no row view: index it with a slice, "
+                            "mask or index array")
         return TripTable(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
-
-    def _record(self, i: int) -> TripRecord:
-        row = {f.name: getattr(self, f.name).item(i) for f in fields(TripRecord)}
-        for name in ("fuel_g", "energy_wh"):
-            if row[name] != row[name]:  # NaN: the cell was empty
-                row[name] = None
-        for name in ("start", "end"):
-            offset = getattr(self, f"{name}_utcoffset").item(i)
-            if offset is not None:
-                row[f"{name}_time"] = row[f"{name}_time"].replace(tzinfo=timezone(offset))
-        return TripRecord(**row)
 
 
 @dataclass(frozen=True)
@@ -489,17 +457,17 @@ def ingest_trips(source) -> tuple[TripTable, list[dict]]:
             fh.close()
 
 
-def filter_trips(trips: TripTable) -> tuple[TripTable, list[tuple[TripRecord, str]]]:
+def filter_trips(trips: TripTable) -> tuple[TripTable, list[tuple[str, str]]]:
     """Apply the study filters: near-new vehicles and implausible speeds.
 
     Boundary values (odometer exactly 100 km, average speed exactly
     200 km/h) are kept: the rules are strict inequalities. Discarded trips
-    come back as (TripRecord, reason) in trip order.
+    come back as (vehicle_id, reason) in trip order.
     """
     new_vehicle = trips.odometer_km < MIN_ODOMETER_KM
     speed = ~new_vehicle & (trips.distance_km / trips.duration_h > MAX_AVG_SPEED_KMH)
     dropped = new_vehicle | speed
-    discarded = [(trips[i], "new_vehicle" if new_vehicle[i] else "speed")
+    discarded = [(trips.vehicle_id[i], "new_vehicle" if new_vehicle[i] else "speed")
                  for i in np.flatnonzero(dropped).tolist()]
     return trips[~dropped], discarded
 

@@ -61,7 +61,6 @@ __all__ = [
     "PreparedModel",
     "prepare",
     "param_names",
-    "param_dim",
     "log_posterior",
     "log_posterior_grad",
 ]
@@ -274,10 +273,6 @@ def param_names(model: ModelSpec, data) -> list[str]:
     if model.family == "logistic":
         return ["alpha"] + [f"beta_{c}" for c in data.covariate_names]
     return ["alpha", *data.covariate_names, "log_sigma"]
-
-
-def param_dim(model: ModelSpec, data) -> int:
-    return len(param_names(model, data))
 
 
 def log_posterior(model: ModelSpec, data, params) -> float:

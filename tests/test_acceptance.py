@@ -45,7 +45,7 @@ from boat.prob_core import (
     PriorSpec,
     log_posterior,
     log_posterior_grad,
-    param_dim,
+    param_names,
 )
 from boat.simulate import (
     ScenarioSpec,
@@ -118,7 +118,7 @@ def test_02_gradient_fidelity(criterion):
             }[family]
             dm = DesignMatrix(unit_ids=np.arange(n), X=C, t=t, y=y, covariate_names=names)
             model = ModelSpec(family, PriorSpec(alpha_scale=1.0, beta_scales=0.7))
-            d = param_dim(model, dm)
+            d = len(param_names(model, dm))
             rng = np.random.default_rng(42)
             for _ in range(100):
                 p = rng.uniform(-2, 2, d)

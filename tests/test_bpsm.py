@@ -9,14 +9,12 @@ from boat.bpsm import (
     ate_psm,
     balance_report,
     caliper_match,
-    cate,
     fit_propensity,
     nn_match_1to1,
     positivity_check,
     propensity_scores,
-    standardized_mean_difference,
 )
-from boat.effects import naive_ate
+from boat.effects import Z_94, naive_ate
 from boat.errors import ContractError, EstimationError, PositivityError
 from boat.nuts import PosteriorSamples, SamplerConfig
 from boat.pipeline import DesignMatrix
@@ -121,7 +119,7 @@ class TestNNMatch:
     def test_symmetric_perfect(self):
         scores = make_scores([0.4, 0.6], [0.4, 0.6])
         m = nn_match_1to1(scores)
-        assert m.total_distance() == pytest.approx(0.0)
+        assert sum(d for _, _, d in m.pairs) == pytest.approx(0.0)
         assert len(m.pairs) == 2
 
     def test_infeasible(self):
@@ -331,9 +329,6 @@ class TestBalanceAndPositivity:
         report = balance_report(match, dm)
         assert report["x"]["mean_c"] == report["x"]["mean_t"]
 
-    def test_smd_zero_denominator(self):
-        assert standardized_mean_difference([1, 1], [1, 1]) == 0.0
-
     def test_overlap_identical(self):
         scores = make_scores([0.2, 0.5, 0.8], [0.2, 0.5, 0.8])
         assert positivity_check(scores, bins=10)["overlap_fraction"] == 1.0
@@ -409,50 +404,17 @@ class TestAtePsm:
             ate_psm(match, {0: 1.0})
 
 
-class TestCate:
-    def make_data(self):
-        X = np.array([[0.2], [0.3], [0.8], [0.9], [0.1], [0.7]])
-        t = np.array([1, 0, 1, 0, 1, 0])
-        y = np.array([1.0, 0.0, 5.0, 3.0, 2.0, 4.0])
-        dm = DesignMatrix(
-            unit_ids=np.arange(6), X=X, t=t, y=y, covariate_names=["z"]
-        )
-        return dm, y
+class TestNaiveAte:
+    def test_hand_arithmetic(self):
+        est = naive_ate([1, 0, 1, 0], [3.0, 1.0, 5.0, 2.0])
+        # means 4 and 1.5; se = sqrt(2 / 2 + 0.5 / 2)
+        assert est.point == 2.5
+        assert est.interval == pytest.approx((2.5 - Z_94 * 1.25**0.5, 2.5 + Z_94 * 1.25**0.5))
+        assert est.estimand == "ate"
 
-    def test_full_subgroup_equals_ate(self):
-        dm, y = self.make_data()
-        full = cate(dm, y, lambda row: True)
-        assert full.point == pytest.approx(naive_ate(dm.t, y).point)
-
-    def test_partition_decomposition(self):
-        dm, y = self.make_data()
-        low = cate(dm, y, lambda row: row["z"] < 0.5)
-        high = cate(dm, y, lambda row: row["z"] >= 0.5)
-        mask = dm.X[:, 0] < 0.5
-        # weights per arm: subgroup share within each treatment arm
-        w_t = np.mean(dm.t[mask]) * np.sum(mask) / np.sum(dm.t)
-        total = naive_ate(dm.t, y).point
-        t_low = np.sum(mask & (dm.t == 1)) / np.sum(dm.t == 1)
-        c_low = np.sum(mask & (dm.t == 0)) / np.sum(dm.t == 0)
-        recombined_t = t_low * np.mean(y[mask & (dm.t == 1)]) + (1 - t_low) * np.mean(
-            y[~mask & (dm.t == 1)]
-        )
-        recombined_c = c_low * np.mean(y[mask & (dm.t == 0)]) + (1 - c_low) * np.mean(
-            y[~mask & (dm.t == 0)]
-        )
-        assert recombined_t - recombined_c == pytest.approx(total)
-        # and the subgroup estimates are consistent with their own cells
-        assert low.point == pytest.approx(
-            np.mean(y[mask & (dm.t == 1)]) - np.mean(y[mask & (dm.t == 0)])
-        )
-        assert high.point == pytest.approx(
-            np.mean(y[~mask & (dm.t == 1)]) - np.mean(y[~mask & (dm.t == 0)])
-        )
-
-    def test_single_group_subgroup(self):
-        dm, y = self.make_data()
+    def test_single_arm(self):
         with pytest.raises(PositivityError):
-            cate(dm, y, lambda row: row["z"] < 0.15)
+            naive_ate([1, 1], [1.0, 2.0])
 
 
 class TestMatchExport:

@@ -215,6 +215,11 @@ class TestDensityContinuity:
         with pytest.raises(InsufficientDataError):
             density_continuity_check([0.0, 100.0], cutoff=60.0, bandwidth=0.5)
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan")])
+    def test_bandwidth_must_be_positive(self, bandwidth):
+        with pytest.raises(ValueError, match=r"^bandwidth must be > 0, got "):
+            density_continuity_check([59.5, 60.5], cutoff=60.0, bandwidth=bandwidth)
+
     def test_binomial_p_small_case(self):
         # 0 of 6 on one side: p = 2 * (1/64) = 1/32
         x = np.full(6, 60.1)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from boat import bpsm
+from boat import bpsm, brdd
 from boat.cli import (
     RECOMMEND_BDID,
     RECOMMEND_BPSM,
@@ -289,6 +289,33 @@ class TestBdidCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param("duplicate", "unit '5' has a second pre row", id="duplicate-pre"),
+        pytest.param("relabel", "unit '5' changes group between periods", id="relabelled"),
+    ])
+    def test_ambiguous_unit_rows_error(self, tmp_path, capsys, edit, message):
+        # a second pre row would replace the first, and a relabelled unit
+        # would take its pre row's group: both are rejected instead
+        with open(self.make_data(tmp_path), newline="") as fh:
+            rows = list(csv.reader(fh))
+        pre = next(r for r in rows if r[0] == "5" and r[2] == "pre")
+        if edit == "duplicate":
+            rows.append([*pre[:3], "999"])
+            at = len(rows)
+        else:
+            at = next(i for i, r in enumerate(rows) if r[0] == "5" and r[2] == "post") + 1
+            rows[at - 1][1] = {"control": "treatment", "treatment": "control"}[pre[1]]
+        path = tmp_path / "panel.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "o"
+        code = main(["bdid", "--data", str(path), "--out", str(out), *FAST])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["message"] == f"{path}: {message} (row {at})"
+        assert not out.exists()
+
 
 class TestBrddCommand:
     def make_data(self, tmp_path):
@@ -342,6 +369,21 @@ class TestBrddCommand:
         report = json.loads((out / "report.json").read_text(), parse_constant=reject)
         assert report["density_continuity"]["left_count"] == 0
         assert report["density_continuity"]["ratio"] is None
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_bad_bandwidth_errors_before_the_fit(self, tmp_path, capsys, monkeypatch, value):
+        data = self.make_data(tmp_path)
+        out = tmp_path / "o"
+        fits = []
+        monkeypatch.setattr(brdd, "fit_rdd", lambda *args: fits.append(args))
+        code = main(["brdd", "--data", str(data), "--bandwidth", value, "--out", str(out),
+                     *FAST])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"] == f"bandwidth must be > 0, got {float(value)}"
+        assert fits == []
+        assert not out.exists()
 
     def test_z_filter_without_z_col(self, tmp_path, capsys):
         data = self.make_data(tmp_path)

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -218,6 +219,53 @@ class TestTreeMerge:
             assert merged.minus is old.minus and merged.plus is new.plus
         else:
             assert merged.minus is new.minus and merged.plus is old.plus
+
+
+class TestOneTransitionInvariance:
+    """One transition leaves its target invariant (Geweke, JASA 99:799, 2004).
+
+    Started from exact draws of a Gaussian with SDs 1 and 3 and correlation
+    0.9, one transition must again give exact draws. Whitened, its output
+    is iid N(0, I), so the mean, the variances, the covariance and the mean
+    squared radius each give a z-score. A kernel that always takes the new
+    subtree's proposal, flips the kinetic energy's sign in the leaf weight,
+    or scales the last half-kick by 0.45 fails; a kernel that never moves
+    would pass, hence the check that most draws move. The steps give a mean
+    accept statistic near 0.8.
+    """
+
+    COV = np.array([[1.0, 2.7], [2.7, 9.0]])
+    N = 20_000
+
+    @pytest.mark.parametrize("metric, step", [
+        pytest.param(None, 0.65, id="identity"),
+        pytest.param(np.linalg.cholesky([[2.0, 1.0], [1.0, 4.0]]), 0.5, id="dense"),
+    ])
+    def test_exact_draws_stay_exact(self, metric, step):
+        chol = np.linalg.cholesky(self.COV)
+        precision = np.linalg.inv(self.COV)
+        target = Target(logp=lambda q: -0.5 * float(q @ precision @ q),
+                        grad=lambda q: -(precision @ q), names=("a", "b"))
+        rng = np.random.default_rng(0)
+        start = rng.standard_normal((self.N, 2)) @ chol.T
+        if metric is not None:  # the chain moves in z, q = metric @ z
+            target = nuts._linear_map(target, metric)
+            start = np.linalg.solve(metric, start.T).T
+        out = np.empty_like(start)
+        for i, z in enumerate(start):
+            out[i] = transition(z, step, rng, target)[0]
+        moved = np.mean(np.any(out != start, axis=1))
+        q = out if metric is None else out @ metric.T
+        w = np.linalg.solve(chol, q.T).T
+        root_n = np.sqrt(self.N)
+        z = np.concatenate([
+            w.mean(axis=0) * root_n,  # mean 0, variance 1
+            ((w**2).mean(axis=0) - 1) / np.sqrt(2) * root_n,  # w^2: mean 1, variance 2
+            [(w[:, 0] * w[:, 1]).mean() * root_n],  # mean 0, variance 1
+            [((w**2).sum(axis=1).mean() - 2) / 2 * root_n],  # chi^2_2: mean 2, variance 4
+        ])
+        assert np.max(np.abs(z)) < 4.5, z
+        assert moved > 0.8
 
 
 class TestDualAveraging:
@@ -480,27 +528,20 @@ class TestExport:
         loaded = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_allclose(loaded, out.draws.reshape(-1, 2), rtol=1e-6)
 
-    def test_summary_json(self, tmp_path):
-        import json
-
+    def test_summary_json(self):
         cfg = SamplerConfig(draws=50, warmup=10, chains=2, seed=9)
         out = sample(STD_GAUSSIAN_2D, None, cfg=cfg)
-        path = tmp_path / "summary.json"
-        out.summary_json(path)
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(summarize(out), allow_nan=False))
         assert set(data) == {"x1", "x2"}
         assert "mean" in data["x1"]
 
-    def test_summary_json_writes_infinite_rhat_as_null(self, tmp_path):
-        import json
-
+    def test_summary_json_writes_infinite_rhat_as_null(self):
         out = PosteriorSamples(param_names=["p"], draws=np.ones((2, 10, 1)),
                                diagnostics={"p": {"rhat": float("inf")}})
-        path = tmp_path / "summary.json"
-        out.summary_json(path)
 
         def reject(constant):
             raise ValueError(f"non-strict JSON constant {constant}")
 
-        data = json.loads(path.read_text(), parse_constant=reject)
+        # allow_nan=False raises on an inf or NaN left in the summary
+        data = json.loads(json.dumps(summarize(out), allow_nan=False), parse_constant=reject)
         assert data["p"]["rhat"] is None

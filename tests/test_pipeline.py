@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 from zoneinfo import ZoneInfo
@@ -19,7 +20,6 @@ from boat.pipeline import (
     DesignMatrix,
     COVARIATE_NAMES,
     TRIPS_CSV_COLUMNS,
-    TripRecord,
     VehicleAggregate,
     aggregate_to_vehicle,
     build_design,
@@ -68,14 +68,55 @@ def trips_from(rows):
     return trips
 
 
+@dataclass(frozen=True)
+class TripRecord:
+    """One trip as a row: what the reference reader builds, and what
+    trip_rows makes of each row of a TripTable."""
+
+    vehicle_id: str
+    start_time: datetime
+    end_time: datetime
+    distance_km: float
+    duration_h: float
+    fuel_g: float | None
+    energy_wh: float | None
+    soc_start_pct: float
+    soc_end_pct: float
+    ambient_temp_c: float
+    engine_starts: int
+    trailer: bool
+    drive_mode: str
+    odometer_km: float
+    max_speed_kmh: float
+    group: str
+
+
+def trip_rows(table):
+    """Every row of a TripTable as a TripRecord: None for an empty fuel_g or
+    energy_wh cell, and an aware datetime where the stamp had an offset."""
+    records = []
+    for i in range(len(table)):
+        row = {f.name: getattr(table, f.name).item(i) for f in fields(TripRecord)}
+        for name in ("fuel_g", "energy_wh"):
+            if row[name] != row[name]:  # NaN: the cell was empty
+                row[name] = None
+        for name in ("start", "end"):
+            offset = getattr(table, f"{name}_utcoffset").item(i)
+            if offset is not None:
+                row[f"{name}_time"] = row[f"{name}_time"].replace(tzinfo=timezone(offset))
+        records.append(TripRecord(**row))
+    return records
+
+
 class TestIngest:
     def test_valid_rows_parse(self):
         trips = trips_from(FIVE_TRIPS)
         assert len(trips) == 5
-        assert trips[0].vehicle_id == "v1"
-        assert trips[0].fuel_g == 4000.0
-        assert trips[0].energy_wh is None
-        assert trips[1].trailer is True
+        first, second = trip_rows(trips)[:2]
+        assert first.vehicle_id == "v1"
+        assert first.fuel_g == 4000.0
+        assert first.energy_wh is None
+        assert second.trailer is True
 
     def test_missing_column_is_schema_error(self):
         bad_header = ",".join(c for c in TRIPS_CSV_COLUMNS if c != "soc_end_pct")
@@ -133,12 +174,12 @@ class TestIngest:
         # the last cell (group) left off; the valid row after it still parses
         short = FIVE_TRIPS[0].rsplit(",", 1)[0]
         trips, rejects = ingest_trips(csv_source([short, FIVE_TRIPS[1]]))
-        assert [t.vehicle_id for t in trips] == [FIVE_TRIPS[1].split(",")[0]]
+        assert trips.vehicle_id.tolist() == [FIVE_TRIPS[1].split(",")[0]]
         assert [(r["line"], r["reason"]) for r in rejects] == [(2, "missing value: group")]
 
     def test_long_row_rejected_naming_its_extra_cells(self):
         trips, rejects = ingest_trips(csv_source([FIVE_TRIPS[0] + ",7,8", FIVE_TRIPS[1]]))
-        assert len(trips) == 1 and trips[0].distance_km == 30.0
+        assert trips.distance_km.tolist() == [30.0]
         assert [(r["line"], r["reason"]) for r in rejects] == [
             (2, "extra cells beyond the header: ['7', '8']")]
         assert rejects[0]["row"] == dict(zip(TRIPS_CSV_COLUMNS, FIVE_TRIPS[0].split(",")))
@@ -162,20 +203,23 @@ class TestIngest:
 
 
 class TestTripTable:
-    def test_int_index_gives_record_and_others_give_tables(self):
+    def test_int_index_raises_and_others_give_tables(self):
         trips = trips_from(FIVE_TRIPS)
-        assert trips[-1] == trips[4] == trips_from(FIVE_TRIPS[4:])[0]
-        assert list(trips)[2] == trips[2]
-        with pytest.raises(IndexError):
-            trips[5]
-        assert [t.distance_km for t in trips[::-2]] == [60.0, 80.0, 50.0]
-        assert [t.distance_km for t in trips[trips.distance_km > 50]] == [80.0, 60.0]
-        assert [t.distance_km for t in trips[np.array([3, 0])]] == [40.0, 50.0]
+        for key in (0, -1, 5, np.int64(2)):
+            with pytest.raises(TypeError):
+                trips[key]
+        with pytest.raises(TypeError):  # iteration falls back to int indexing
+            list(trips)
+        rows = trip_rows(trips)
+        assert trip_rows(trips[::-2]) == [rows[4], rows[2], rows[0]]
+        assert trip_rows(trips[trips.distance_km > 50]) == [rows[2], rows[4]]
+        assert trip_rows(trips[np.array([3, 0])]) == [rows[3], rows[0]]
+        assert trips[np.array([3, 0])].distance_km.tolist() == [40.0, 50.0]
 
     def test_offset_stamps_round_trip(self):
         row = (FIVE_TRIPS[0].replace("T08:00:00", "T09:30:00+01:30")
                .replace("T09:00:00", "T09:00:00+00:00"))
-        (trip,) = trips_from([row])
+        (trip,) = trip_rows(trips_from([row]))
         assert trip.start_time == datetime.fromisoformat("2024-03-04T09:30:00+01:30")
         assert trip.start_time.utcoffset() == timedelta(hours=1, minutes=30)
         assert trip.end_time.utcoffset() == timedelta(0)
@@ -192,7 +236,7 @@ class TestFilter:
     def test_new_vehicle_dropped(self):
         kept, discarded = filter_trips(self.make(99.9, 50, 1.0))
         assert len(kept) == 0
-        assert discarded[0][1] == "new_vehicle"
+        assert discarded == [("v1", "new_vehicle")]
 
     def test_odometer_boundary_kept(self):
         kept, discarded = filter_trips(self.make(100.0, 50, 1.0))
@@ -201,7 +245,7 @@ class TestFilter:
     def test_speed_dropped(self):
         kept, discarded = filter_trips(self.make(500, 201, 1.0))
         assert len(kept) == 0
-        assert discarded[0][1] == "speed"
+        assert discarded == [("v1", "speed")]
 
     def test_speed_boundary_kept(self):
         kept, discarded = filter_trips(self.make(500, 200, 1.0))
@@ -613,7 +657,7 @@ def assert_matches_reference(text, **aggregate_kwargs):
     table, rejects = ingest_trips(io.StringIO(text))
     trips, expected_rejects = reference_ingest(io.StringIO(text))
     assert rejects == expected_rejects
-    assert _stamped(table) == _stamped(trips)
+    assert _stamped(trip_rows(table)) == _stamped(trips)
     got = _aggregate_outcome(aggregate_to_vehicle, table, **aggregate_kwargs)
     want = _aggregate_outcome(reference_aggregate, trips, **aggregate_kwargs)
     if want[1] is None:
