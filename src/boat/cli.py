@@ -173,10 +173,15 @@ def _fit_bpsm(args, table: _Table):
     if args.match == "caliper":
         bpsm.check_caliper(args.caliper)  # before the fit, which takes most of a run
     covariates = args.covariates.split(",")
-    unit_ids = np.array(table.column("unit_id"))
+    unit_ids = table.column("unit_id")
     t = table.treatment(args.treatment_col)
     y = table.floats(args.target)
     X = np.column_stack([table.floats(c) for c in covariates])
+    first_row: dict = {}
+    for row, uid in enumerate(unit_ids, start=2):
+        if first_row.setdefault(uid, row) != row:
+            raise SchemaError(f"{table.path}: unit {uid!r} has a second row "
+                              f"(rows {first_row[uid]} and {row})")
     X = min_max_scale(X, covariates)
     data = DesignMatrix(unit_ids=unit_ids, X=X, t=t, y=y, covariate_names=covariates)
 
@@ -187,7 +192,7 @@ def _fit_bpsm(args, table: _Table):
         match = bpsm.nn_match_1to1(scores)
     else:
         match = bpsm.caliper_match(scores, args.caliper)
-    y_by_id = dict(zip(unit_ids.tolist(), y.tolist()))
+    y_by_id = dict(zip(unit_ids, y.tolist()))
     ate = bpsm.ate_psm(match, y_by_id)
 
     report = {

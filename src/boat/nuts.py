@@ -4,8 +4,11 @@ split-chain R-hat diagnostics.
 
 The sampler sees one type, :class:`Target`: a log-density, its gradient
 and the parameter names. :func:`sample` compiles a ``ModelSpec`` and its
-data into a Target once (``_compile``), or takes a Target as it is; every
-chain, tree and step search below it runs on that one Target.
+data into a Target once (``_compile``), or takes a Target as it is. Below
+it, the chain, the tree and the step search see one function per metric,
+``evaluate(z) -> (logp, grad)`` (``_evaluator``): each point costs one
+gradient call and then one log-density call on the Target, and a compiled
+model answers the second from the memo the first filled.
 
 The tree is the multinomial variant: each leaf is weighted by its joint
 density exp(logp - |p|^2/2). A subtree is a leaf, or two halves and a
@@ -18,14 +21,15 @@ Betancourt, arXiv:1701.02434): an initial buffer with the identity
 metric, slow windows of doubling length, then a terminal buffer. At the
 end of each slow window a chain estimates the covariance Sigma of its own
 draws in that window, shrunk toward its diagonal, and from then on samples
-z with q = L z, L = chol(Sigma): the tree sees z -> logp(L z) and
-z -> L^T grad logp(L z), which is HMC on q with the dense mass matrix
+z with q = L z, L = chol(Sigma): its ``evaluate`` gives logp(L z) and
+L^T grad logp(L z), which is HMC on q with the dense mass matrix
 Sigma^-1. The step size is found again and dual averaging restarts after
 each window.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -159,15 +163,15 @@ class PosteriorSamples:
         np.savetxt(path, flat, delimiter=",", header=header, comments="")
 
 
-def leapfrog(q, p, grad, step, grad_fn):
+def leapfrog(q, p, grad, step, evaluate):
     """One leapfrog step from (q, p) with ``grad`` the gradient at q:
-    half-kick, drift, half-kick. Returns (q, p, gradient at the new q).
-    Time-reversible."""
+    half-kick, drift, half-kick. ``evaluate(q)`` returns (logp, gradient);
+    the step returns (q, p, logp, gradient) at the new q. Time-reversible."""
     p = p + 0.5 * step * grad
     q = q + step * p
-    grad_new = np.asarray(grad_fn(q), dtype=float)
+    logp_new, grad_new = evaluate(q)
     p = p + 0.5 * step * grad_new
-    return q, p, grad_new
+    return q, p, logp_new, grad_new
 
 
 class _Subtree(NamedTuple):
@@ -185,8 +189,8 @@ class _Subtree(NamedTuple):
 class _Tree:
     """Recursive multinomial NUTS tree construction for one transition."""
 
-    def __init__(self, target, step, logw0, rng):
-        self.target = target
+    def __init__(self, evaluate, step, logw0, rng):
+        self.evaluate = evaluate
         self.step = step
         self.logw0 = logw0
         self.rng = rng
@@ -195,14 +199,10 @@ class _Tree:
         self.diverged = False
 
     def _leaf(self, q, p, grad, direction):
-        q1, p1, g1 = leapfrog(q, p, grad, direction * self.step, self.target.grad)
-        if np.all(np.isfinite(q1)) and np.all(np.isfinite(g1)):
-            logp1 = self.target.logp(q1)
-        else:
-            logp1 = -np.inf
-        logw = logp1 - 0.5 * float(p1 @ p1) if np.isfinite(logp1) else -np.inf
+        q1, p1, logp1, g1 = leapfrog(q, p, grad, direction * self.step, self.evaluate)
+        logw = logp1 - 0.5 * float(p1 @ p1) if math.isfinite(logp1) else -np.inf
         energy_error = self.logw0 - logw
-        diverged = (not np.isfinite(logw)) or energy_error > DIVERGENCE_THRESHOLD
+        diverged = (not math.isfinite(logw)) or energy_error > DIVERGENCE_THRESHOLD
         self.diverged = self.diverged or diverged
         self.accept_sum += min(1.0, np.exp(min(0.0, -energy_error)))
         self.n_leaves += 1
@@ -228,7 +228,7 @@ class _Tree:
         logw = np.logaddexp(old.logw, new.logw)
         proposal = old.proposal
         against = old.logw if biased else logw
-        if np.isfinite(new.logw) and np.log(self.rng.uniform()) < new.logw - against:
+        if math.isfinite(new.logw) and np.log(self.rng.uniform()) < new.logw - against:
             proposal = new.proposal
         stop = new.stop or _is_turning(minus, plus)
         return _Subtree(minus, plus, proposal, logw, stop)
@@ -239,13 +239,14 @@ def _is_turning(minus, plus) -> bool:
     return float(dq @ minus[1]) < 0 or float(dq @ plus[1]) < 0
 
 
-def _nuts_transition(q0, logp0, grad0, step, rng, target, max_tree_depth):
+def _nuts_transition(q0, logp0, grad0, step, rng, evaluate, max_tree_depth):
     """One NUTS transition from q0, whose log-density and gradient are
-    logp0 and grad0; returns (q, logp, grad, accept_stat, depth, diverged,
-    leapfrog steps, Hamiltonian at the start)."""
+    logp0 and grad0, evaluating new points with ``evaluate``; returns (q,
+    logp, grad, accept_stat, depth, diverged, leapfrog steps, Hamiltonian at
+    the start)."""
     p0 = rng.standard_normal(q0.shape[0])
     logw0 = logp0 - 0.5 * float(p0 @ p0)
-    tree = _Tree(target, step, logw0, rng)
+    tree = _Tree(evaluate, step, logw0, rng)
     start = (q0, p0, grad0)
     whole = _Subtree(start, start, (q0, logp0, grad0), logw0, False)
     depth = 0
@@ -284,17 +285,17 @@ class DualAveraging:
         return float(np.exp(self.log_step_bar))
 
 
-def _find_reasonable_step(q, logp, grad, target, rng) -> float:
+def _find_reasonable_step(q, logp, grad, evaluate, rng) -> float:
     """Heuristic initial step from q (log-density logp, gradient grad):
     double/halve until the accept prob of one leapfrog step crosses 0.5."""
     p = rng.standard_normal(q.shape[0])
     logw = logp - 0.5 * float(p @ p)
 
     def trial(step):
-        q1, p1, _ = leapfrog(q, p, grad, step, target.grad)
-        if not np.all(np.isfinite(q1)):
+        q1, p1, logp1, _ = leapfrog(q, p, grad, step, evaluate)
+        if not np.isfinite(q1).all():  # -inf, not the NaN a NaN momentum would give
             return -np.inf
-        return target.logp(q1) - 0.5 * float(p1 @ p1)
+        return logp1 - 0.5 * float(p1 @ p1)
 
     step = 1.0
     # trial steps can explode before the halving kicks in
@@ -347,13 +348,22 @@ def _dense_metric(window_draws):
         return None
 
 
-def _linear_map(target: Target, chol) -> Target:
-    """The target in z for q = chol @ z."""
-    return Target(
-        logp=lambda z: target.logp(chol @ z),
-        grad=lambda z: chol.T @ np.asarray(target.grad(chol @ z), dtype=float),
-        names=target.names,
-    )
+def _evaluator(target: Target, chol=None):
+    """``evaluate(z) -> (logp, grad_z)`` of the target in z, q = chol @ z
+    (q = z without chol): one gradient and then one log-density call at q.
+    logp is -inf, with no log-density call, when z or the gradient is not
+    finite; such a leaf diverges."""
+
+    def evaluate(z):
+        q = z if chol is None else chol @ z
+        grad = np.asarray(target.grad(q), dtype=float)
+        if chol is not None:
+            grad = chol.T @ grad
+        if np.isfinite(z).all() and np.isfinite(grad).all():
+            return target.logp(q), grad
+        return -np.inf, grad
+
+    return evaluate
 
 
 def _e_bfmi(energy) -> float | None:
@@ -377,11 +387,11 @@ def _run_chain(target: Target, cfg: SamplerConfig, chain_seed):
     else:
         raise InitializationError("no finite initial log-posterior found")
 
-    # the chain moves in z under zt; until the first window closes, z = q
+    # the chain moves in z, q = chol @ z; until the first window closes, z = q
     chol = None
-    zt, z = target, q
-    grad = np.asarray(zt.grad(z), dtype=float)
-    step = _find_reasonable_step(z, logp, grad, zt, rng)
+    evaluate, z = _evaluator(target), q
+    grad = np.asarray(target.grad(z), dtype=float)
+    step = _find_reasonable_step(z, logp, grad, evaluate, rng)
     da = DualAveraging(step, cfg.target_accept)
 
     window_start = {stop: start for start, stop in _adaptation_windows(cfg.warmup)}
@@ -394,7 +404,7 @@ def _run_chain(target: Target, cfg: SamplerConfig, chain_seed):
     leapfrogs = divergences = 0
     for i in range(cfg.draws):
         z, logp, grad, accept_stat, depth, diverged, n_leaves, h0 = _nuts_transition(
-            z, logp, grad, step, rng, zt, cfg.max_tree_depth
+            z, logp, grad, step, rng, evaluate, cfg.max_tree_depth
         )
         q = z if chol is None else chol @ z
         if i < cfg.warmup:
@@ -404,11 +414,10 @@ def _run_chain(target: Target, cfg: SamplerConfig, chain_seed):
                 new_chol = _dense_metric(warm[window_start[i + 1] : i + 1])
                 if new_chol is not None:
                     chol = new_chol
-                    zt = _linear_map(target, chol)
+                    evaluate = _evaluator(target, chol)
                     z = np.linalg.solve(chol, q)
-                    logp = zt.logp(z)
-                    grad = np.asarray(zt.grad(z), dtype=float)
-                    step = _find_reasonable_step(z, logp, grad, zt, rng)
+                    logp, grad = evaluate(z)
+                    step = _find_reasonable_step(z, logp, grad, evaluate, rng)
                     # Stan's restart: shrink toward 10x the found step
                     da = DualAveraging(10.0 * step, cfg.target_accept)
             if i == cfg.warmup - 1:

@@ -13,7 +13,15 @@ counted per design.
 
 A fit first reduces its data once with :func:`prepare`, the one place that
 reads the family; the :class:`PreparedLogistic` or :class:`PreparedLinear`
-it returns evaluates ``logp`` and ``grad`` without looking at it again.
+it returns evaluates without looking at it again. Each computes the
+log-density and its gradient in one pass (``_logp_and_grad``), sharing the
+work the two have in common, and keeps the last point's pair in a one-slot
+memo keyed on the bytes of the parameter vector. ``logp`` and ``grad``
+read that memo: the sampler asks for the gradient and then the density at
+each leaf, and the two calls cost one evaluation. The sampler still calls
+:func:`log_posterior` and :func:`log_posterior_grad` once each per point,
+so a wrapper on those sees every evaluation, and each value is the one a
+separate computation would give, bit for bit.
 
 For the linear path the likelihood depends on the data only through a
 few sufficient statistics. With D = [1, X] (n rows), a least-squares
@@ -28,8 +36,8 @@ whatever n is. RSS0 is summed row by row once, so this form keeps the
 accuracy that y^T y - 2 b^T D^T y + b^T G b loses when y has a large
 offset. b_hat from ``lstsq`` also covers a rank-deficient D.
 
-The ``logistic`` family is O(n k) per evaluation and shares its work
-between the two callables:
+The ``logistic`` family is O(n k) per evaluation; its density and gradient
+share p = sigmoid(alpha + X beta):
 
 - :func:`sigmoid` takes one exponential per element: with e = exp(-|z|)
   and d = 1 + e it is 1/d where z >= 0 and e/d elsewhere. Neither branch
@@ -38,16 +46,11 @@ between the two callables:
 - The log-likelihood sums where(t == 1, log p, log1p(-p)) with p clipped
   into [PROB_FLOOR, 1 - PROB_FLOOR]. The clip keeps both logs finite, so
   this equals t log p + (1 - t) log1p(-p) bit for bit.
-- The probabilities p = sigmoid(alpha + X beta) are memoised on the
-  :class:`PreparedLogistic`, one slot keyed on the bytes of the parameter
-  vector. The sampler asks for the gradient and then the density at the
-  same leaf, so the second call skips the O(n k) product and the
-  sigmoid. The memo, not a fused density-and-gradient method, keeps both
-  values bit-identical while the sampler still calls the two apart.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,63 +133,59 @@ def sigmoid(z):
 class PreparedModel:
     """A model with its data reduced once to what an evaluation reads. This
     base holds the model, the parameter ``names``, the Gaussian coefficient
-    prior (alpha first) and the parameter vector's shape check."""
+    prior (alpha first), the parameter vector's shape check and a one-slot
+    memo of the last evaluation. Each family implements
+    ``_logp_and_grad(params)``, one pass that returns both values."""
 
     def __init__(self, model: ModelSpec, names: tuple, prior_scales: np.ndarray):
         self.model, self.names = model, names
         self.prior_var = prior_scales**2
         self.prior_lognorm = -0.5 * np.log(2.0 * np.pi) - np.log(prior_scales)
+        self._memo = None  # (parameter bytes, logp, read-only grad); replaced whole
 
-    def _params(self, params) -> np.ndarray:
+    def _evaluate(self, params):
         params = np.asarray(params, dtype=float)
         if params.shape != (len(self.names),):
             raise ContractError(f"parameter vector has shape {params.shape}, "
                                 f"expected ({len(self.names)},)")
-        return params
+        key = params.tobytes()
+        memo = self._memo
+        if memo is None or memo[0] != key:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                logp, grad = self._logp_and_grad(params)
+            grad.flags.writeable = False
+            self._memo = memo = (key, logp if math.isfinite(logp) else -np.inf, grad)
+        return memo
+
+    def logp(self, params) -> float:
+        return self._evaluate(params)[1]
+
+    def grad(self, params) -> np.ndarray:
+        return self._evaluate(params)[2].copy()
 
     def _coef_prior(self, b) -> float:
         lp = self.prior_lognorm - b**2 / (2.0 * self.prior_var)
-        return float(lp[0] + float(np.sum(lp[1:])))
+        return float(lp[0] + float(lp[1:].sum()))
 
 
 class PreparedLogistic(PreparedModel):
-    """``logistic``: the predictor matrix ``X``, ``t`` as floats, the mask
-    ``t_mask`` = (t == 1) and a one-slot memo of the last probabilities."""
+    """``logistic``: the predictor matrix ``X``, ``t`` as floats and the
+    mask ``t_mask`` = (t == 1)."""
 
     def __init__(self, model, names, prior_scales, X, t):
         super().__init__(model, names, prior_scales)
         self.X, self.t, self.t_mask = X, t, t == 1.0
-        self._memo = None  # (parameter bytes, read-only p); replaced whole, never mutated
 
-    def _probabilities(self, b) -> np.ndarray:
-        """sigmoid(alpha + X beta), reused if the last call had the same parameter bytes."""
-        key = b.tobytes()
-        memo = self._memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        p = sigmoid(b[0] + self.X @ b[1:])
-        p.flags.writeable = False
-        self._memo = (key, p)
-        return p
-
-    def logp(self, params) -> float:
-        b = self._params(params)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            total = self._coef_prior(b)
-            if self.t.size:
-                p = np.clip(self._probabilities(b), PROB_FLOOR, 1.0 - PROB_FLOOR)
-                total += float(np.where(self.t_mask, np.log(p), np.log1p(-p)).sum())
-        return total if np.isfinite(total) else -np.inf
-
-    def grad(self, params) -> np.ndarray:
-        b = self._params(params)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            g = -b / self.prior_var
-            if self.t.size:
-                resid = self.t - self._probabilities(b)
-                g[0] += float(np.sum(resid))
-                g[1:] += self.X.T @ resid
-        return g
+    def _logp_and_grad(self, b):
+        logp, g = self._coef_prior(b), -b / self.prior_var
+        if self.t.size:
+            p = sigmoid(b[0] + self.X @ b[1:])
+            clipped = p.clip(PROB_FLOOR, 1.0 - PROB_FLOOR)
+            logp += float(np.where(self.t_mask, np.log(clipped), np.log1p(-clipped)).sum())
+            resid = self.t - p
+            g[0] += float(resid.sum())
+            g[1:] += self.X.T @ resid
+        return logp, g
 
 
 class PreparedLinear(PreparedModel):
@@ -200,37 +199,29 @@ class PreparedLinear(PreparedModel):
         self.n, self.gram, self.b_hat, self.rss0 = n, gram, b_hat, rss0
         self.noise_scale = model.priors.noise_scale
         self.noise_lognorm = np.log(2.0) - np.log(np.pi) - np.log(self.noise_scale)
+        self.half_log_2pi = 0.5 * np.log(2.0 * np.pi)
 
-    def logp(self, params) -> float:
-        params = self._params(params)
+    def _logp_and_grad(self, params):
         b, log_sigma = params[:-1], params[-1]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            sigma = np.exp(log_sigma)
-            total = self._coef_prior(b)
-            # half-Cauchy on sigma plus the log-Jacobian of sigma = exp(log_sigma)
-            total += self.noise_lognorm - np.log1p((sigma / self.noise_scale) ** 2) + log_sigma
-            if self.n:
-                if not np.isfinite(sigma) or sigma == 0.0:
-                    return -np.inf
-                d = b - self.b_hat
-                rss = self.rss0 + float(d @ (self.gram @ d))
-                total += -self.n * (0.5 * np.log(2.0 * np.pi) + log_sigma) - rss / (2.0 * sigma**2)
-        return total if np.isfinite(total) else -np.inf
-
-    def grad(self, params) -> np.ndarray:
-        params = self._params(params)
-        b, log_sigma = params[:-1], params[-1]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            g = -b / self.prior_var
-            sigma, s = np.exp(log_sigma), self.noise_scale
-            # d/dlog_sigma [half-Cauchy log-density + Jacobian]
-            g_ls = 1.0 - 2.0 * sigma**2 / (s**2 + sigma**2)
-            if self.n:
-                d = b - self.b_hat
-                gd = self.gram @ d
-                g -= gd / sigma**2
-                g_ls += -self.n + (self.rss0 + float(d @ gd)) / sigma**2
-        return np.append(g, g_ls)
+        s = self.noise_scale
+        sigma = np.exp(log_sigma)
+        sigma2 = sigma**2
+        # half-Cauchy on sigma plus the log-Jacobian of sigma = exp(log_sigma),
+        # and its derivative in log_sigma
+        logp = self._coef_prior(b) + (
+            self.noise_lognorm - np.log1p((sigma / s) ** 2) + log_sigma)
+        g, g_ls = -b / self.prior_var, 1.0 - 2.0 * sigma2 / (s**2 + sigma2)
+        if self.n:
+            d = b - self.b_hat
+            gd = self.gram @ d
+            rss = self.rss0 + float(d @ gd)
+            if 0.0 < sigma < np.inf:
+                logp += -self.n * (self.half_log_2pi + log_sigma) - rss / (2.0 * sigma2)
+            else:
+                logp = -np.inf
+            g -= gd / sigma2
+            g_ls += -self.n + rss / sigma2
+        return logp, np.concatenate((g, [g_ls]))
 
 
 def prepare(model: ModelSpec, data) -> PreparedModel:

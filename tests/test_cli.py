@@ -250,6 +250,28 @@ class TestBpsmCommand:
         assert not out.exists()
 
 
+    def test_duplicate_unit_id_error(self, tmp_path, capsys):
+        # a second row for an id would give a treated unit a control row's
+        # outcome and covariates: it is rejected before the fit
+        with open(self.make_data(tmp_path), newline="") as fh:
+            rows = list(csv.reader(fh))
+        first = next(i for i, r in enumerate(rows[1:], start=2) if r[rows[0].index("group")] == "treatment")
+        uid = rows[first - 1][0]
+        rows[-1][0] = uid
+        path = tmp_path / "units.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "o"
+        code = main(["bpsm", "--data", str(path), "--covariates", "x1,x2", "--match", "nn",
+                     "--out", str(out), *FAST])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["message"] == (f"{path}: unit {uid!r} has a second row "
+                                  f"(rows {first} and {len(rows)})")
+        assert not out.exists()
+
+
 class TestBdidCommand:
     def make_data(self, tmp_path):
         out = tmp_path / "sim"

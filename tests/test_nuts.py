@@ -37,22 +37,25 @@ STD_GAUSSIAN_2D = Target(
 )
 
 
-def gaussian_grad(q):
-    return -q
+def gaussian(q):
+    """A standard Gaussian's (log-density, gradient), as an evaluator returns them."""
+    return -0.5 * float(q @ q), -q
 
 
-def transition(q, step, rng, target, max_tree_depth=10):
-    """One NUTS transition from q, evaluating its start point once."""
-    return nuts._nuts_transition(q, target.logp(q), target.grad(q), step, rng, target,
-                                 max_tree_depth)
+def transition(q, step, rng, target, chol=None, max_tree_depth=10):
+    """One NUTS transition from q (from z, q = chol @ z, given ``chol``),
+    evaluating its start point once."""
+    evaluate = nuts._evaluator(target, chol)
+    return nuts._nuts_transition(q, *evaluate(q), step, rng, evaluate, max_tree_depth)
 
 
 class TestLeapfrog:
     def test_hand_computed_step(self):
-        q, p, g = leapfrog(np.array([1.0]), np.array([0.0]), np.array([-1.0]), 0.1,
-                           gaussian_grad)
+        q, p, logp, g = leapfrog(np.array([1.0]), np.array([0.0]), np.array([-1.0]), 0.1,
+                                 gaussian)
         assert q[0] == pytest.approx(0.995, abs=1e-12)
         assert p[0] == pytest.approx(-0.09975, abs=1e-12)
+        assert logp == pytest.approx(-0.5 * 0.995**2, abs=1e-12)
         np.testing.assert_array_equal(g, -q)
 
     @settings(max_examples=50, deadline=None)
@@ -62,8 +65,8 @@ class TestLeapfrog:
         step=st.floats(0.01, 0.5),
     )
     def test_reversibility(self, q0, p0, step):
-        q, p, g = leapfrog(np.array([q0]), np.array([p0]), np.array([-q0]), step, gaussian_grad)
-        q_back, p_back, g_back = leapfrog(q, -p, g, step, gaussian_grad)
+        q, p, _, g = leapfrog(np.array([q0]), np.array([p0]), np.array([-q0]), step, gaussian)
+        q_back, p_back, _, g_back = leapfrog(q, -p, g, step, gaussian)
         assert abs(q_back[0] - q0) < 1e-10
         assert abs(g_back[0] + q0) < 1e-10
         assert abs(-p_back[0] - p0) < 1e-10
@@ -73,7 +76,7 @@ class TestLeapfrog:
             q, p, g = np.array([1.0]), np.array([0.0]), np.array([-1.0])
             h0 = 0.5 * (q @ q + p @ p)
             for _ in range(100):
-                q, p, g = leapfrog(q, p, g, step, gaussian_grad)
+                q, p, _, g = leapfrog(q, p, g, step, gaussian)
             return abs(0.5 * (q @ q + p @ p) - h0)
 
         d1, d2 = drift(0.02), drift(0.01)
@@ -93,12 +96,11 @@ class TestNutsStep:
     def test_gaussian_stationary_moments(self):
         rng = np.random.default_rng(7)
         q = np.array([0.0])
-        logp, grad = STD_GAUSSIAN_1D.logp(q), STD_GAUSSIAN_1D.grad(q)
+        evaluate = nuts._evaluator(STD_GAUSSIAN_1D)
+        logp, grad = evaluate(q)
         draws = np.empty(5000)
         for i in range(5000):
-            q, logp, grad, *_ = nuts._nuts_transition(
-                q, logp, grad, 0.8, rng, STD_GAUSSIAN_1D, 10
-            )
+            q, logp, grad, *_ = nuts._nuts_transition(q, logp, grad, 0.8, rng, evaluate, 10)
             draws[i] = q[0]
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.1
@@ -111,6 +113,18 @@ class TestNutsStep:
             q, _, _, _, _, diverged, _, _ = transition(q, 0.7, rng, STD_GAUSSIAN_2D)
             n_div += diverged
         assert n_div == 0
+
+    def test_leaf_with_a_non_finite_gradient_diverges(self):
+        # such a leaf has weight zero even where its log-density is finite:
+        # it stops the tree, is not the proposal and counts as rejected
+        q0 = np.array([0.3, -0.2])
+        target = Target(logp=lambda q: -0.5 * float(q @ q),
+                        grad=lambda q: -q if np.array_equal(q, q0) else np.full(2, np.nan),
+                        names=("a", "b"))
+        q, *_, accept, depth, diverged, n_leaves, _ = transition(
+            q0, 0.5, np.random.default_rng(0), target)
+        assert (accept, depth, diverged, n_leaves) == (0.0, 0, True, 1)
+        np.testing.assert_array_equal(q, q0)
 
     def test_transition_takes_the_proposal_values_from_its_leaf(self):
         calls = {"logp": 0, "grad": 0}
@@ -249,11 +263,10 @@ class TestOneTransitionInvariance:
         rng = np.random.default_rng(0)
         start = rng.standard_normal((self.N, 2)) @ chol.T
         if metric is not None:  # the chain moves in z, q = metric @ z
-            target = nuts._linear_map(target, metric)
             start = np.linalg.solve(metric, start.T).T
         out = np.empty_like(start)
         for i, z in enumerate(start):
-            out[i] = transition(z, step, rng, target)[0]
+            out[i] = transition(z, step, rng, target, metric)[0]
         moved = np.mean(np.any(out != start, axis=1))
         q = out if metric is None else out @ metric.T
         w = np.linalg.solve(chol, q.T).T
@@ -266,6 +279,22 @@ class TestOneTransitionInvariance:
         ])
         assert np.max(np.abs(z)) < 4.5, z
         assert moved > 0.8
+
+
+class TestStepSearch:
+    @pytest.mark.parametrize("bad, step", [(np.nan, 2.0**64), (np.inf, 4.0)])
+    def test_trial_with_a_non_finite_gradient(self, bad, step):
+        # beyond |q| = 1.5 the gradient is `bad`. A trial there with an
+        # infinite gradient has weight -inf, which ends the doubling; with
+        # a NaN gradient the weight is NaN, which never ends it, so the
+        # search runs to its cap of 2**64
+        target = Target(logp=lambda q: -0.5 * float(q @ q),
+                        grad=lambda q: -q if np.all(np.abs(q) <= 1.5) else np.full(q.shape, bad),
+                        names=("a", "b"))
+        q = np.array([0.3, -0.2])
+        evaluate = nuts._evaluator(target)
+        found = nuts._find_reasonable_step(q, *evaluate(q), evaluate, np.random.default_rng(0))
+        assert found == step
 
 
 class TestDualAveraging:
@@ -334,18 +363,19 @@ class TestSample:
             return -q
 
         starts, chols = [], []
-        find, linear_map = nuts._find_reasonable_step, nuts._linear_map
+        find, evaluator = nuts._find_reasonable_step, nuts._evaluator
 
         def recording_find(z, *args):
             starts.append(z)
             return find(z, *args)
 
-        def recording_map(*args):
-            chols.append(args[-1])
-            return linear_map(*args)
+        def recording_evaluator(target, chol=None):
+            if chol is not None:
+                chols.append(chol)
+            return evaluator(target, chol)
 
         monkeypatch.setattr(nuts, "_find_reasonable_step", recording_find)
-        monkeypatch.setattr(nuts, "_linear_map", recording_map)
+        monkeypatch.setattr(nuts, "_evaluator", recording_evaluator)
         cfg = SamplerConfig(draws=150, warmup=100, chains=1, seed=5)
         assert _adaptation_windows(cfg.warmup) == [(50, 90)]
         sample(Target(logp, grad, ("x1", "x2")), None, cfg=cfg)

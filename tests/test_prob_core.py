@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -374,8 +375,9 @@ def test_prepared_model_contents(family):
     model, dm = make_data(family, n=500)
     prep = prepare(model, dm)
     assert param_names(model, prep) == param_names(model, dm) == list(prep.names)
-    logistic_only = {"X", "t", "t_mask", "_memo"}
-    linear_only = {"n", "gram", "b_hat", "rss0", "noise_scale", "noise_lognorm"}
+    logistic_only = {"X", "t", "t_mask"}
+    linear_only = {"n", "gram", "b_hat", "rss0", "noise_scale", "noise_lognorm", "half_log_2pi"}
+    assert prep._memo is None  # each family's one memo slot, filled by its first evaluation
     if family == "logistic":
         assert type(prep) is PreparedLogistic and not linear_only & set(vars(prep))
         assert prep.X.shape == (500, 3) and prep.t.dtype == float
@@ -508,29 +510,47 @@ class TestLogisticMatchesReference:
             assert np.array_equal(log_posterior_grad(model, fresh, q), want_grad)
 
 
-class TestProbabilityMemo:
-    def setup_method(self):
-        self.model, self.dm, rng = logistic_case(50, 4, "mixed", 11)
-        self.q, self.q2 = rng.normal(0, 1, 5), rng.normal(0, 1, 5)
+def test_one_sigmoid_per_point(monkeypatch):
+    model, dm, q, q2 = memo_case("logistic", 11)
+    calls = [0]
+    real = prob_core.sigmoid
+
+    def counting(z):
+        calls[0] += 1
+        return real(z)
+
+    monkeypatch.setattr(prob_core, "sigmoid", counting)
+    prep = prepare(model, dm)
+    log_posterior_grad(model, prep, q)
+    log_posterior(model, prep, q)
+    assert calls[0] == 1
+    log_posterior(model, prep, q2)
+    assert calls[0] == 2
+
+
+def memo_case(family, seed):
+    """A model, its data and two parameter vectors for the memo tests."""
+    if family == "logistic":
+        model, dm, rng = logistic_case(50, 4, "mixed", seed)
+    else:
+        model, dm = linear_case(family, "plain", n=50, seed=seed)
+        rng = np.random.default_rng(seed)
+    d = len(param_names(model, dm))
+    return model, dm, rng.normal(0, 1, d), rng.normal(0, 1, d)
+
+
+@pytest.mark.parametrize("family", ["logistic", "did_linear", "rdd_linear"])
+class TestEvaluationMemo:
+    """The one-slot memo of the last evaluation returns what a freshly
+    prepared model computes, whatever was evaluated before."""
+
+    @pytest.fixture(autouse=True)
+    def case(self, family):
+        self.model, self.dm, self.q, self.q2 = memo_case(family, 11)
+        self.other_dm = memo_case(family, 12)[1]
 
     def fresh(self, fn, q, dm=None):
         return fn(self.model, prepare(self.model, self.dm if dm is None else dm), q)
-
-    def test_one_sigmoid_per_point(self, monkeypatch):
-        calls = [0]
-        real = prob_core.sigmoid
-
-        def counting(z):
-            calls[0] += 1
-            return real(z)
-
-        monkeypatch.setattr(prob_core, "sigmoid", counting)
-        prep = prepare(self.model, self.dm)
-        log_posterior_grad(self.model, prep, self.q)
-        log_posterior(self.model, prep, self.q)
-        assert calls[0] == 1
-        log_posterior(self.model, prep, self.q2)
-        assert calls[0] == 2
 
     def test_other_point_after_gradient(self):
         prep = prepare(self.model, self.dm)
@@ -550,7 +570,7 @@ class TestProbabilityMemo:
                               self.fresh(log_posterior_grad, q.copy()))
 
     def test_two_models_in_alternation(self):
-        _, other_dm, _ = logistic_case(50, 4, "mixed", 12)
+        other_dm = self.other_dm
         a, b = prepare(self.model, self.dm), prepare(self.model, other_dm)
         for fn in (log_posterior_grad, log_posterior, log_posterior_grad):
             for prep, dm in ((a, self.dm), (b, other_dm), (a, self.dm)):
@@ -558,10 +578,148 @@ class TestProbabilityMemo:
                                    self.fresh(fn, self.q, dm))
         assert log_posterior(self.model, a, self.q) != log_posterior(self.model, b, self.q)
 
+    @pytest.mark.parametrize("first, second", [
+        (log_posterior, log_posterior_grad), (log_posterior_grad, log_posterior),
+    ])
+    def test_points_in_alternation(self, first, second):
+        prep = prepare(self.model, self.dm)
+        for q in (self.q, self.q2, self.q):
+            got = first(self.model, prep, q), second(self.model, prep, q)
+            want = self.fresh(first, q), self.fresh(second, q)
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    def test_mutating_a_returned_gradient(self):
+        prep = prepare(self.model, self.dm)
+        want = self.fresh(log_posterior_grad, self.q)
+        grad = log_posterior_grad(self.model, prep, self.q)
+        grad[:] = 99.0
+        assert np.array_equal(log_posterior_grad(self.model, prep, self.q), want)
+        assert log_posterior(self.model, prep, self.q) == self.fresh(log_posterior, self.q)
+
     def test_list_and_int_parameters(self):
         prep = prepare(self.model, self.dm)
-        ints = [1, 0, -2, 3, 0]
+        ints = [1, 0, -2, 3, 0, 1, -1][:len(prep.names)]
         for q in (ints, np.array(ints), np.array(ints, dtype=np.int32)):
             assert log_posterior(self.model, prep, q) == self.fresh(log_posterior, np.array(ints, float))
             assert np.array_equal(log_posterior_grad(self.model, prep, q),
                                   self.fresh(log_posterior_grad, np.array(ints, float)))
+
+
+def reference_linear_log_posterior(prep, params):
+    """The linear log-posterior computed apart from its gradient: the value
+    the shared evaluation must equal bit for bit."""
+    b, log_sigma = params[:-1], params[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sigma = np.exp(log_sigma)
+        lp = prep.prior_lognorm - b**2 / (2.0 * prep.prior_var)
+        total = float(lp[0] + float(np.sum(lp[1:])))
+        total += prep.noise_lognorm - np.log1p((sigma / prep.noise_scale) ** 2) + log_sigma
+        if prep.n:
+            if not np.isfinite(sigma) or sigma == 0.0:
+                return -np.inf
+            d = b - prep.b_hat
+            rss = prep.rss0 + float(d @ (prep.gram @ d))
+            total += -prep.n * (0.5 * np.log(2.0 * np.pi) + log_sigma) - rss / (2.0 * sigma**2)
+    return total if np.isfinite(total) else -np.inf
+
+
+def reference_linear_grad(prep, params):
+    """The linear gradient computed apart from the log-posterior."""
+    b, log_sigma = params[:-1], params[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = -b / prep.prior_var
+        sigma, s = np.exp(log_sigma), prep.noise_scale
+        g_ls = 1.0 - 2.0 * sigma**2 / (s**2 + sigma**2)
+        if prep.n:
+            d = b - prep.b_hat
+            gd = prep.gram @ d
+            g -= gd / sigma**2
+            g_ls += -prep.n + (prep.rss0 + float(d @ gd)) / sigma**2
+    return np.append(g, g_ls)
+
+
+def evaluate_quietly(model, data, q, grad_first):
+    """(log-posterior, gradient) from a freshly prepared model, in either
+    call order, with any warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prep = prepare(model, data)
+        if grad_first:
+            grad = log_posterior_grad(model, prep, q)
+            return log_posterior(model, prep, q), grad, prep
+        logp = log_posterior(model, prep, q)
+        return logp, log_posterior_grad(model, prep, q), prep
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLinearMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(["did_linear", "rdd_linear"]),
+           case=st.sampled_from(["plain", "large_offset", "near_exact_fit", "noise_scale_2"]),
+           n=st.integers(1, 200), scale=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+           grad_first=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical(self, family, case, n, scale, grad_first, seed):
+        model, dm = linear_case(family, case, n=n, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            q = rng.normal(0, scale, len(param_names(model, dm)))
+            logp, grad, prep = evaluate_quietly(model, dm, q, grad_first)
+            assert same_bits(logp, reference_linear_log_posterior(prep, q))
+            assert same_bits(grad, reference_linear_grad(prep, q))
+
+
+@pytest.mark.parametrize("family", ["did_linear", "rdd_linear"])
+def test_linear_bit_identical_at_many_points(family):
+    # a last-bit change in a scalar (x * x for x**2, say) shows in about
+    # one value in a thousand, so this takes thousands of points
+    model, dm = linear_case(family, "plain", n=60)
+    prep = prepare(model, dm)
+    rng = np.random.default_rng(8)
+    center = np.append(prep.b_hat, np.log(np.sqrt(prep.rss0 / prep.n)))
+    for q in center + rng.normal(0, 1, (3000, len(prep.names))) * rng.choice([0.01, 0.3, 3.0], (3000, 1)):
+        assert same_bits(log_posterior_grad(model, prep, q), reference_linear_grad(prep, q))
+        assert same_bits(log_posterior(model, prep, q), reference_linear_log_posterior(prep, q))
+
+
+@pytest.mark.parametrize("grad_first", [True, False])
+class TestSharedEvaluationAtTheEdges:
+    """Where exp(log_sigma), its square or the linear predictor under- or
+    overflows, the shared evaluation raises nothing, lets no warning out,
+    and gives the separately computed values bit for bit: -inf and NaN in
+    the same places."""
+
+    @pytest.mark.parametrize("family", ["did_linear", "rdd_linear"])
+    @pytest.mark.parametrize("n", [40, 0])
+    @pytest.mark.parametrize("log_sigma", [-800.0, -400.0, -372.0, -10.0, 355.0, 400.0, 800.0])
+    def test_linear_log_sigma(self, family, n, log_sigma, grad_first):
+        model, dm = linear_case(family, "plain", n=n)
+        d = len(param_names(model, dm))
+        q = np.append(np.random.default_rng(5).normal(0, 1, d - 1), log_sigma)
+        logp, grad, prep = evaluate_quietly(model, dm, q, grad_first)
+        assert same_bits(logp, reference_linear_log_posterior(prep, q))
+        assert same_bits(grad, reference_linear_grad(prep, q))
+        if log_sigma == 355.0:  # sigma**2 overflows, (sigma / noise_scale)**2 does not
+            assert np.isfinite(logp) and np.isnan(grad[-1])
+
+    @pytest.mark.parametrize("signs", [(1, 1, 1, 1, 1), (-1, -1, -1, -1, -1),
+                                       (1, -1, 1, -1, 1), (-1, 1, 1, 1, -1)])
+    @pytest.mark.parametrize("x_scale", [1.0, 1e10])
+    def test_logistic_at_1e300(self, signs, x_scale, grad_first):
+        # the prior's b**2 overflows; with covariates near 1e10 the products
+        # overflow too, and a row whose terms overflow with both signs has
+        # a NaN predictor
+        model, dm, _ = logistic_case(30, 4, "mixed", 3)
+        dm.X = np.random.default_rng(2).normal(0, x_scale, (30, 4))
+        q = 1e300 * np.array(signs, dtype=float)
+        logp, grad, prep = evaluate_quietly(model, dm, q, grad_first)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert same_bits(logp, reference_logistic_log_posterior(prep, q))
+            assert same_bits(grad, reference_logistic_grad(prep, q))
+            predictor = q[0] + dm.X @ q[1:]
+        assert logp == -np.inf
+        assert np.isnan(grad).any() == np.isnan(predictor).any() == (x_scale > 1)
