@@ -34,10 +34,12 @@ for name, stats in summarize(post).items():
 
 print("\nempirical covariance of the draws:")
 print(np.cov(pooled.T).round(3))
-print("\nper chain: step size, adapted metric diagonal, leapfrog steps per draw, E-BFMI")
+print("\nper chain: step size, adapted metric diagonal, leapfrog steps per kept draw"
+      " (and with warm-up's added), E-BFMI")
 kept = cfg.draws - cfg.warmup
 for c, st in enumerate(post.chain_stats):
+    whole = st.warmup_leapfrog_steps + st.leapfrog_steps
     print(f"  chain {c}: {st.step_size:.3f}  {np.round(st.metric_diag, 3)}"
-          f"  {st.leapfrog_steps / kept:.1f}  {st.e_bfmi:.2f}")
+          f"  {st.leapfrog_steps / kept:.1f} ({whole / kept:.1f})  {st.e_bfmi:.2f}")
 print(f"\ndivergences per chain: {post.diagnostics['_divergences']}")
 print(f"warnings: {post.warnings or 'none'}")

@@ -23,8 +23,9 @@ end of each slow window a chain estimates the covariance Sigma of its own
 draws in that window, shrunk toward its diagonal, and from then on samples
 z with q = L z, L = chol(Sigma): its ``evaluate`` gives logp(L z) and
 L^T grad logp(L z), which is HMC on q with the dense mass matrix
-Sigma^-1. The step size is found again and dual averaging restarts after
-each window.
+Sigma^-1. A chain's ``_Warmup`` holds this state: the windows, L and its
+``evaluate``, the dual averaging and the step. It finds the step and
+starts dual averaging at the chain's start, and again after each window.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ SHRINK_WEIGHT = 1e-3
 DA_GAMMA = 0.05
 DA_T0 = 10.0
 DA_KAPPA = 0.75
+# The accept statistic dual averaging aims at, and the deepest tree.
+TARGET_ACCEPT = 0.8
+MAX_TREE_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -96,43 +100,37 @@ def _compile(model: ModelSpec, data) -> Target:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Run-length and tuning knobs for :func:`sample`.
-
-    ``draws`` counts total iterations per chain including the ``warmup``
-    iterations that are used for adaptation and then discarded.
-    """
+    """Run length of :func:`sample`: ``draws`` iterations per chain, of
+    which the first ``warmup`` adapt the sampler and are discarded, in
+    ``chains`` chains whose RNG streams are spawned from ``seed``."""
 
     draws: int = 2000
     warmup: int = 200
     chains: int = 2
     seed: int = 0
-    target_accept: float = 0.8
-    max_tree_depth: int = 10
 
     def __post_init__(self):
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
         if not 0 <= self.warmup <= self.draws - 4:  # r_hat needs 4 kept draws per chain
             raise ValueError("warmup must satisfy 0 <= warmup <= draws - 4")
-        if not 0 < self.target_accept < 1:
-            raise ValueError("target_accept must be in (0, 1)")
-        if self.max_tree_depth < 1:
-            raise ValueError("max_tree_depth must be >= 1")
 
 
 @dataclass(frozen=True)
 class ChainStats:
-    """Sampler statistics of one chain over its post-warm-up transitions.
+    """Sampler statistics of one chain over its post-warm-up transitions,
+    and the leapfrog steps of its warm-up ones.
 
     ``step_size`` and ``metric_diag`` (the diagonal of the adapted
     covariance metric, ones when no window ran) are in the coordinates the
     sampler saw. ``tree_depths[d]`` counts transitions of tree depth d;
-    ``saturated`` counts those that reached ``max_tree_depth``. ``e_bfmi``
+    ``saturated`` counts those that reached ``MAX_TREE_DEPTH``. ``e_bfmi``
     is None when the energies do not vary.
     """
 
     step_size: float
     metric_diag: tuple
+    warmup_leapfrog_steps: int
     leapfrog_steps: int
     tree_depths: tuple
     saturated: int
@@ -239,7 +237,7 @@ def _is_turning(minus, plus) -> bool:
     return float(dq @ minus[1]) < 0 or float(dq @ plus[1]) < 0
 
 
-def _nuts_transition(q0, logp0, grad0, step, rng, evaluate, max_tree_depth):
+def _nuts_transition(q0, logp0, grad0, step, rng, evaluate):
     """One NUTS transition from q0, whose log-density and gradient are
     logp0 and grad0, evaluating new points with ``evaluate``; returns (q,
     logp, grad, accept_stat, depth, diverged, leapfrog steps, Hamiltonian at
@@ -250,7 +248,7 @@ def _nuts_transition(q0, logp0, grad0, step, rng, evaluate, max_tree_depth):
     start = (q0, p0, grad0)
     whole = _Subtree(start, start, (q0, logp0, grad0), logw0, False)
     depth = 0
-    while depth < max_tree_depth and not whole.stop:
+    while depth < MAX_TREE_DEPTH and not whole.stop:
         direction = 1 if rng.uniform() < 0.5 else -1
         new = tree.build(whole.plus if direction == 1 else whole.minus, depth, direction)
         if new.stop:
@@ -264,9 +262,8 @@ def _nuts_transition(q0, logp0, grad0, step, rng, evaluate, max_tree_depth):
 class DualAveraging:
     """Nesterov dual-averaging step-size adaptation (warm-up only)."""
 
-    def __init__(self, initial_step, target_accept=0.8):
+    def __init__(self, initial_step):
         self.mu = self.log_step = self.log_step_bar = np.log(initial_step)
-        self.target = target_accept
         self.h_bar = 0.0
         self.m = 0
 
@@ -274,7 +271,7 @@ class DualAveraging:
         """Feed one acceptance statistic; returns the next step size."""
         self.m += 1
         frac = 1.0 / (self.m + DA_T0)
-        self.h_bar = (1.0 - frac) * self.h_bar + frac * (self.target - accept_stat)
+        self.h_bar = (1.0 - frac) * self.h_bar + frac * (TARGET_ACCEPT - accept_stat)
         self.log_step = self.mu - np.sqrt(self.m) / DA_GAMMA * self.h_bar
         eta = self.m**-DA_KAPPA
         self.log_step_bar = eta * self.log_step + (1.0 - eta) * self.log_step_bar
@@ -293,9 +290,9 @@ def _find_reasonable_step(q, logp, grad, evaluate, rng) -> float:
 
     def trial(step):
         q1, p1, logp1, _ = leapfrog(q, p, grad, step, evaluate)
-        if not np.isfinite(q1).all():  # -inf, not the NaN a NaN momentum would give
-            return -np.inf
-        return logp1 - 0.5 * float(p1 @ p1)
+        logw1 = logp1 - 0.5 * float(p1 @ p1)
+        # NaN (logp1 = -inf with a NaN momentum) counts as -inf, so it ends the doubling
+        return -np.inf if math.isnan(logw1) else logw1
 
     step = 1.0
     # trial steps can explode before the halving kicks in
@@ -375,6 +372,37 @@ def _e_bfmi(energy) -> float | None:
     return float(np.mean(np.diff(energy) ** 2) / var)
 
 
+class _Warmup:
+    """A chain's warm-up state: the metric windows, the Cholesky factor
+    ``chol`` (None for the identity) with its ``evaluate``, the dual
+    averaging and the current ``step``."""
+
+    def __init__(self, target, warmup, rng):
+        self.target, self.rng, self.last = target, rng, warmup - 1
+        self.window_start = {stop: start for start, stop in _adaptation_windows(warmup)}
+        self.chol, self.evaluate = None, _evaluator(target)
+
+    def restart(self, z, logp, grad, scale):
+        """Find a step from z; dual averaging shrinks toward scale times it."""
+        self.step = _find_reasonable_step(z, logp, grad, self.evaluate, self.rng)
+        self.da = DualAveraging(scale * self.step)
+
+    def update(self, i, draws, z, logp, grad, accept_stat):
+        """Adapt after warm-up transition i, whose q is draws[i]; returns
+        the chain's (z, logp, grad) in the metric from then on."""
+        self.step = self.da.update(accept_stat)
+        if i + 1 in self.window_start:
+            chol = _dense_metric(draws[self.window_start[i + 1] : i + 1])
+            if chol is not None:
+                self.chol, self.evaluate = chol, _evaluator(self.target, chol)
+                z = np.linalg.solve(chol, draws[i])
+                logp, grad = self.evaluate(z)
+                self.restart(z, logp, grad, 10.0)  # Stan's restart
+        if i == self.last:
+            self.step = self.da.finalized_step()
+        return z, logp, grad
+
+
 def _run_chain(target: Target, cfg: SamplerConfig, chain_seed):
     rng = np.random.Generator(np.random.PCG64(chain_seed))
     dim = len(target.names)
@@ -388,61 +416,35 @@ def _run_chain(target: Target, cfg: SamplerConfig, chain_seed):
         raise InitializationError("no finite initial log-posterior found")
 
     # the chain moves in z, q = chol @ z; until the first window closes, z = q
-    chol = None
-    evaluate, z = _evaluator(target), q
-    grad = np.asarray(target.grad(z), dtype=float)
-    step = _find_reasonable_step(z, logp, grad, evaluate, rng)
-    da = DualAveraging(step, cfg.target_accept)
-
-    window_start = {stop: start for start, stop in _adaptation_windows(cfg.warmup)}
-    warm = np.empty((cfg.warmup, dim))
-    n_kept = cfg.draws - cfg.warmup
-    kept = np.empty((n_kept, dim))
-    accept = np.empty(n_kept)
-    energy = np.empty(n_kept)
-    depths = np.zeros(cfg.max_tree_depth + 1, dtype=int)
-    leapfrogs = divergences = 0
+    warmup = _Warmup(target, cfg.warmup, rng)
+    z, grad = q, np.asarray(target.grad(q), dtype=float)
+    warmup.restart(z, logp, grad, 1.0)
+    draws = np.empty((cfg.draws, dim))
+    # per transition: accept statistic, depth, diverged, leapfrog steps, energy
+    record = np.empty((cfg.draws, 5))
     for i in range(cfg.draws):
-        z, logp, grad, accept_stat, depth, diverged, n_leaves, h0 = _nuts_transition(
-            z, logp, grad, step, rng, evaluate, cfg.max_tree_depth
+        z, logp, grad, *record[i] = _nuts_transition(
+            z, logp, grad, warmup.step, rng, warmup.evaluate
         )
-        q = z if chol is None else chol @ z
+        draws[i] = z if warmup.chol is None else warmup.chol @ z
         if i < cfg.warmup:
-            warm[i] = q
-            step = da.update(accept_stat)
-            if i + 1 in window_start:
-                new_chol = _dense_metric(warm[window_start[i + 1] : i + 1])
-                if new_chol is not None:
-                    chol = new_chol
-                    evaluate = _evaluator(target, chol)
-                    z = np.linalg.solve(chol, q)
-                    logp, grad = evaluate(z)
-                    step = _find_reasonable_step(z, logp, grad, evaluate, rng)
-                    # Stan's restart: shrink toward 10x the found step
-                    da = DualAveraging(10.0 * step, cfg.target_accept)
-            if i == cfg.warmup - 1:
-                step = da.finalized_step()
-        else:
-            j = i - cfg.warmup
-            kept[j] = q
-            accept[j] = accept_stat
-            energy[j] = h0
-            depths[depth] += 1
-            leapfrogs += n_leaves
-            divergences += diverged
+            z, logp, grad = warmup.update(i, draws, z, logp, grad, record[i, 0])
 
-    metric_diag = np.ones(dim) if chol is None else np.sum(chol**2, axis=1)
+    accept, depth, diverged, leaves, energy = record[cfg.warmup :].T
+    depths = np.bincount(depth.astype(int), minlength=MAX_TREE_DEPTH + 1)
+    metric_diag = np.ones(dim) if warmup.chol is None else np.sum(warmup.chol**2, axis=1)
     stats = ChainStats(
-        step_size=float(step),
+        step_size=float(warmup.step),
         metric_diag=tuple(float(v) for v in metric_diag),
-        leapfrog_steps=int(leapfrogs),
+        warmup_leapfrog_steps=int(record[: cfg.warmup, 3].sum()),
+        leapfrog_steps=int(leaves.sum()),
         tree_depths=tuple(int(c) for c in depths),
-        saturated=int(depths[cfg.max_tree_depth]),
+        saturated=int(depths[MAX_TREE_DEPTH]),
         mean_accept=float(np.mean(accept)),
-        divergences=int(divergences),
+        divergences=int(diverged.sum()),
         e_bfmi=_e_bfmi(energy),
     )
-    return kept, stats
+    return draws[cfg.warmup :], stats
 
 
 def sample(model: ModelSpec | Target, data, cfg: SamplerConfig = None) -> PosteriorSamples:
@@ -477,7 +479,7 @@ def sample(model: ModelSpec | Target, data, cfg: SamplerConfig = None) -> Poster
         if stats.saturated / kept_n > 0.10:
             out.warnings.append(
                 f"chain {c}: {stats.saturated}/{kept_n} transitions reached "
-                f"max_tree_depth={cfg.max_tree_depth} (>10%)"
+                f"max_tree_depth={MAX_TREE_DEPTH} (>10%)"
             )
         if stats.e_bfmi is not None and stats.e_bfmi < 0.3:
             out.warnings.append(f"chain {c}: E-BFMI {stats.e_bfmi:.3f} (<0.3)")

@@ -148,7 +148,8 @@ class TestBpsmCommand:
         assert len(summary["sampler"]) == 2
         for chain in summary["sampler"]:
             assert set(chain) == {
-                "step_size", "metric_diag", "leapfrog_steps", "tree_depths",
+                "step_size", "metric_diag", "warmup_leapfrog_steps", "leapfrog_steps",
+                "tree_depths",
                 "saturated", "mean_accept", "divergences", "e_bfmi",
             }
             assert len(chain["metric_diag"]) == 3

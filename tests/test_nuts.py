@@ -42,11 +42,11 @@ def gaussian(q):
     return -0.5 * float(q @ q), -q
 
 
-def transition(q, step, rng, target, chol=None, max_tree_depth=10):
+def transition(q, step, rng, target, chol=None):
     """One NUTS transition from q (from z, q = chol @ z, given ``chol``),
     evaluating its start point once."""
     evaluate = nuts._evaluator(target, chol)
-    return nuts._nuts_transition(q, *evaluate(q), step, rng, evaluate, max_tree_depth)
+    return nuts._nuts_transition(q, *evaluate(q), step, rng, evaluate)
 
 
 class TestLeapfrog:
@@ -84,10 +84,11 @@ class TestLeapfrog:
 
 
 class TestNutsStep:
-    def test_tiny_step_hits_max_depth(self):
+    def test_tiny_step_hits_max_depth(self, monkeypatch):
+        monkeypatch.setattr(nuts, "MAX_TREE_DEPTH", 4)
         rng = np.random.default_rng(0)
         q, _, _, accept, depth, diverged, _, _ = transition(
-            np.array([0.0]), 1e-6, rng, STD_GAUSSIAN_1D, max_tree_depth=4
+            np.array([0.0]), 1e-6, rng, STD_GAUSSIAN_1D
         )
         assert depth == 4
         assert np.isfinite(q).all()
@@ -100,7 +101,7 @@ class TestNutsStep:
         logp, grad = evaluate(q)
         draws = np.empty(5000)
         for i in range(5000):
-            q, logp, grad, *_ = nuts._nuts_transition(q, logp, grad, 0.8, rng, evaluate, 10)
+            q, logp, grad, *_ = nuts._nuts_transition(q, logp, grad, 0.8, rng, evaluate)
             draws[i] = q[0]
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.1
@@ -282,35 +283,35 @@ class TestOneTransitionInvariance:
 
 
 class TestStepSearch:
-    @pytest.mark.parametrize("bad, step", [(np.nan, 2.0**64), (np.inf, 4.0)])
-    def test_trial_with_a_non_finite_gradient(self, bad, step):
-        # beyond |q| = 1.5 the gradient is `bad`. A trial there with an
-        # infinite gradient has weight -inf, which ends the doubling; with
-        # a NaN gradient the weight is NaN, which never ends it, so the
-        # search runs to its cap of 2**64
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_trial_with_a_non_finite_gradient(self, bad):
+        # beyond |q| = 1.5 the gradient is `bad`. A trial there has weight
+        # -inf, which ends the doubling at the last step inside. A NaN
+        # weight (-inf - NaN) must count as -inf too: left NaN, it never
+        # ended the doubling, and the search ran to its cap of 2**64
         target = Target(logp=lambda q: -0.5 * float(q @ q),
                         grad=lambda q: -q if np.all(np.abs(q) <= 1.5) else np.full(q.shape, bad),
                         names=("a", "b"))
         q = np.array([0.3, -0.2])
         evaluate = nuts._evaluator(target)
         found = nuts._find_reasonable_step(q, *evaluate(q), evaluate, np.random.default_rng(0))
-        assert found == step
+        assert found == 4.0
 
 
 class TestDualAveraging:
     def test_on_target_keeps_initial_step(self):
-        da = DualAveraging(0.3, target_accept=0.8)
+        da = DualAveraging(0.3)
         for _ in range(200):
             step = da.update(0.8)
         assert step == pytest.approx(0.3, rel=0.05)
 
     def test_zero_acceptance_monotone_decrease(self):
-        da = DualAveraging(1.0, target_accept=0.8)
+        da = DualAveraging(1.0)
         steps = [da.update(0.0) for _ in range(50)]
         assert all(b < a for a, b in zip(steps, steps[1:]))
 
     def test_adapted_acceptance_in_band(self):
-        cfg = SamplerConfig(draws=1500, warmup=500, chains=1, seed=11, target_accept=0.8)
+        cfg = SamplerConfig(draws=1500, warmup=500, chains=1, seed=11)
         out = sample(STD_GAUSSIAN_2D, None, cfg=cfg)
         assert 0.7 <= out.chain_stats[0].mean_accept <= 0.98
         assert out.diagnostics["x1"]["rhat"] < 1.05
@@ -324,7 +325,6 @@ class TestSamplerConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(chains=0), dict(warmup=-1), dict(draws=200, warmup=200), dict(draws=0),
-        dict(target_accept=1.0), dict(max_tree_depth=0),
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -389,10 +389,14 @@ class TestSample:
         assert max(calls["logp"].values()) == max(calls["grad"].values()) == 1
 
 
-def correlated_gaussian(sds, rho):
+def correlated_cov(sds, rho):
     corr = np.full((len(sds), len(sds)), rho)
     np.fill_diagonal(corr, 1.0)
-    prec = np.linalg.inv(corr * np.outer(sds, sds))
+    return corr * np.outer(sds, sds)
+
+
+def correlated_gaussian(sds, rho):
+    prec = np.linalg.inv(correlated_cov(sds, rho))
     return Target(
         logp=lambda q: -0.5 * float(q @ prec @ q),
         grad=lambda q: -(prec @ q),
@@ -428,6 +432,25 @@ class TestMetricAdaptation:
         assert all(s.saturated == 0 for s in out.chain_stats)
         sd_ratio = out.draws.reshape(-1, 5).std(axis=0) / sds
         assert np.all((sd_ratio > 0.75) & (sd_ratio < 1.25))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_warmup_then_sampling_gives_the_target(self, seed):
+        # The whole of sample(), warm-up included, on the Gaussian above.
+        # At seed 3 one chain estimates its first metric while still
+        # walking in from its start, and pays for it in leapfrog steps
+        # (about 18 per kept draw, against 6 at seed 0), not in accuracy.
+        # Whitened with the true factor the draws are N(0, I): each
+        # coordinate's mean and mean of w^2 - 1 is z-tested, with its
+        # Monte Carlo SE from 20 batch means per chain.
+        sds = np.geomspace(1e-3, 1.0, 5)
+        chol = np.linalg.cholesky(correlated_cov(sds, 0.9))
+        cfg = SamplerConfig(draws=1200, warmup=200, chains=2, seed=seed)
+        out = sample(correlated_gaussian(sds, 0.9), None, cfg=cfg)
+        w = np.linalg.solve(chol, out.draws.reshape(-1, 5).T).T
+        batches = np.concatenate([w, w**2 - 1], axis=1).reshape(cfg.chains * 20, -1, 10)
+        means = batches.mean(axis=1)
+        z = means.mean(axis=0) / (means.std(axis=0, ddof=1) / np.sqrt(len(means)))
+        assert np.max(np.abs(z)) < 4.5, z
 
     def test_large_panel_short_warmup_does_not_saturate(self):
         # with Stan's 15% initial buffer a chain's walk in from U(-2, 2)
@@ -469,18 +492,20 @@ class TestChainStats:
         out = sample(STD_GAUSSIAN_2D, None, cfg=cfg)
         assert len(out.chain_stats) == 2
         for s in out.chain_stats:
-            assert len(s.tree_depths) == cfg.max_tree_depth + 1
+            assert len(s.tree_depths) == nuts.MAX_TREE_DEPTH + 1
             assert sum(s.tree_depths) == cfg.draws - cfg.warmup
             assert s.saturated == s.tree_depths[-1]
             assert s.leapfrog_steps >= sum(s.tree_depths)
+            assert s.warmup_leapfrog_steps >= cfg.warmup
             assert 0.0 < s.mean_accept <= 1.0
             assert s.step_size > 0
             assert len(s.metric_diag) == 2
             assert 0.5 < s.e_bfmi < 2.0
         assert out.diagnostics["_divergences"] == [s.divergences for s in out.chain_stats]
 
-    def test_saturation_warning(self):
-        cfg = SamplerConfig(draws=200, warmup=50, chains=1, seed=0, max_tree_depth=1)
+    def test_saturation_warning(self, monkeypatch):
+        monkeypatch.setattr(nuts, "MAX_TREE_DEPTH", 1)
+        cfg = SamplerConfig(draws=200, warmup=50, chains=1, seed=0)
         out = sample(STD_GAUSSIAN_2D, None, cfg=cfg)
         assert out.chain_stats[0].saturated > 15
         assert any("max_tree_depth=1" in w for w in out.warnings)
