@@ -11,7 +11,6 @@ from boat.nuts import SamplerConfig, summarize
 from boat.simulate import ScenarioSpec, simulate_seasonal_panel
 
 spec = ScenarioSpec(
-    "seasonal_did",
     n_control=200,
     n_treated=200,
     true_ate=-0.3,

@@ -19,7 +19,6 @@ from boat.nuts import SamplerConfig
 from boat.simulate import ScenarioSpec, simulate_confounded
 
 spec = ScenarioSpec(
-    "confounded_psm",
     n_control=400,
     n_treated=40,
     true_ate=-0.3,

@@ -10,7 +10,6 @@ from boat.nuts import SamplerConfig
 from boat.simulate import ScenarioSpec, simulate_discontinuity
 
 spec = ScenarioSpec(
-    "cutoff_rdd",
     n_control=500,
     n_treated=500,
     true_ate=-1.2,

@@ -107,14 +107,12 @@ def ate_did(posterior: PosteriorSamples) -> ATEEstimate:
     return from_draws(posterior.pooled(INTERACTION), estimand="ate_did")
 
 
-def parallel_trend_check(
-    control_means, treatment_means, tolerance: float = None
-) -> dict:
+def parallel_trend_check(control_means, treatment_means) -> dict:
     """Compare pre-intervention least-squares slopes of the two groups.
 
     Inputs are group-mean outcomes at >= 2 pre-intervention time points.
-    Default tolerance: 25% of the pooled standard deviation of the pre
-    values.
+    The slopes pass when they differ by at most the tolerance, 25% of the
+    pooled standard deviation of the pre values.
     """
     yc = np.asarray(control_means, dtype=float)
     yt = np.asarray(treatment_means, dtype=float)
@@ -125,8 +123,7 @@ def parallel_trend_check(
     time = np.arange(yc.size, dtype=float)
     slope_c = float(np.polyfit(time, yc, 1)[0])
     slope_t = float(np.polyfit(time, yt, 1)[0])
-    if tolerance is None:
-        tolerance = 0.25 * float(np.std(np.concatenate([yc, yt])))
+    tolerance = 0.25 * float(np.std(np.concatenate([yc, yt])))
     gap = abs(slope_t - slope_c)
     return {
         "slope_c": slope_c,

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_CALIPER = 0.05
+POSITIVITY_BINS = 10  # equal-width score bins of positivity_check
 
 
 @dataclass
@@ -287,10 +288,10 @@ def balance_report(match: MatchResult, data: DesignMatrix) -> dict:
     return report
 
 
-def positivity_check(scores: PropensityScores, bins: int = 10) -> dict:
-    """Flag score-histogram bins occupied by only one group."""
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+def positivity_check(scores: PropensityScores) -> dict:
+    """Flag score-histogram bins (``POSITIVITY_BINS`` of them) occupied by
+    only one group."""
+    bins = POSITIVITY_BINS
     edges = np.linspace(0.0, 1.0, bins + 1)
     which = np.clip(np.digitize(scores.mean_score, edges) - 1, 0, bins - 1)
     violating = []

@@ -43,7 +43,6 @@ class RddDataset:
     y: np.ndarray
     cutoff: float
     z: np.ndarray | None = None
-    unit_ids: np.ndarray | None = None
 
     def __post_init__(self):
         self.assignment = np.asarray(self.assignment, dtype=float)
@@ -58,10 +57,6 @@ class RddDataset:
             reject_non_finite(name, getattr(self, name))
         if not np.isfinite(self.cutoff):
             raise SchemaError(f"cutoff: non-finite value {self.cutoff}")
-        if self.unit_ids is None:
-            self.unit_ids = np.arange(len(self.y))
-        else:
-            self.unit_ids = np.asarray(self.unit_ids)
 
     @property
     def t(self) -> np.ndarray:
@@ -74,12 +69,11 @@ class RddDataset:
             y=self.y[mask],
             cutoff=self.cutoff,
             z=self.z[mask] if self.z is not None else None,
-            unit_ids=self.unit_ids[mask],
         )
 
 
 def default_rdd_priors() -> PriorSpec:
-    return PriorSpec(alpha_scale=1.0, beta_scales=0.5)
+    return PriorSpec(alpha_scale=1.0, beta_scale=0.5)
 
 
 def fit_rdd(
@@ -115,7 +109,7 @@ def fit_rdd(
     if data.z is not None:
         cols.append(data.z)
         names.append("beta_z")
-    dm = DesignMatrix(unit_ids=data.unit_ids, X=np.column_stack(cols), t=t,
+    dm = DesignMatrix(unit_ids=np.arange(len(t)), X=np.column_stack(cols), t=t,
                       y=(data.y - y_min) / y_range, covariate_names=names)
     model = ModelSpec("rdd_linear", priors or default_rdd_priors())
     out = sample(model, dm, cfg=cfg or SamplerConfig())

@@ -130,11 +130,14 @@ class _Table:
         return t
 
 
-def _parse_z_filter(expr: str):
+def _parse_z_filter(expr: str, z_col: str):
     m = re.fullmatch(r"\s*([A-Za-z_]\w*)\s*(>=|<=|>|<)\s*(-?\d+(?:\.\d+)?)\s*", expr)
     if not m:
         raise ValueError(f"cannot parse filter expression: {expr!r}")
-    _, op, thresh = m.groups()
+    name, op, thresh = m.groups()
+    if name != z_col:
+        raise SchemaError(f"--z-filter {expr!r} names column {name!r}, not the --z-col "
+                          f"column {z_col!r}")
     compare = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}[op]
     return lambda v: compare(v, float(thresh))
 
@@ -185,7 +188,7 @@ def _fit_bpsm(args, table: _Table):
     X = min_max_scale(X, covariates)
     data = DesignMatrix(unit_ids=unit_ids, X=X, t=t, y=y, covariate_names=covariates)
 
-    priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scales=args.beta_scale)
+    priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scale=args.beta_scale)
     posterior = bpsm.fit_propensity(data, priors, _sampler_config(args))
     scores = bpsm.propensity_scores(posterior, data)
     if args.match == "nn":
@@ -197,7 +200,7 @@ def _fit_bpsm(args, table: _Table):
 
     report = {
         "balance": bpsm.balance_report(match, data),
-        "positivity": bpsm.positivity_check(scores, bins=10),
+        "positivity": bpsm.positivity_check(scores),
         "naive_ate": naive_ate(t, y).to_dict(),
         "n_pairs": len(match.pairs),
         "n_unmatched_treated": len(match.unmatched_treated),
@@ -238,7 +241,7 @@ def _fit_bdid(args, table: _Table):
         y_post=np.array([u["post"][1] for u in units]),
         treated=np.array([bool(u["pre"][0]) for u in units]),
     )
-    priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scales=args.beta_scale)
+    priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scale=args.beta_scale)
     posterior = bdid.fit_did(panel, priors, _sampler_config(args))
     ate = bdid.ate_did(posterior)
 
@@ -275,14 +278,16 @@ def _fit_brdd(args, table: _Table):
     if args.z_filter:
         if z is None:
             raise SchemaError("--z-filter requires --z-col")
-        data = data.filtered(_parse_z_filter(args.z_filter)(data.z))
+        data = data.filtered(_parse_z_filter(args.z_filter, args.z_col)(data.z))
+        if not len(data.y):
+            raise SchemaError(f"--z-filter {args.z_filter!r} keeps no rows")
     bandwidth = args.bandwidth
     if bandwidth is None:
         bandwidth = 0.1 * (data.assignment.max() - data.assignment.min())
     # before the fit, which takes most of a run, so a bad --bandwidth fails fast
     density = brdd.density_continuity_check(data.assignment, args.cutoff, bandwidth)
 
-    priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scales=args.beta_scale)
+    priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scale=args.beta_scale)
     posterior = brdd.fit_rdd(data, priors, _sampler_config(args))
     ate = brdd.ate_rdd(posterior)
 
@@ -335,7 +340,6 @@ _SCENARIOS = {
 
 def _cmd_simulate(args) -> int:
     spec = simulate.ScenarioSpec(
-        scenario=args.scenario,
         n_control=args.n_control,
         n_treated=args.n_treated,
         true_ate=args.true_ate,

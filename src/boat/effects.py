@@ -16,23 +16,12 @@ Z_94 = 1.8807936081512509
 
 @dataclass
 class ATEEstimate:
-    """Point estimate plus uncertainty for one estimand.
-
-    ``draws`` holds posterior draws when the estimate is posterior-based;
-    otherwise the interval is a normal-approximation interval.
-    """
+    """Point estimate plus a central 94% interval for one estimand: posterior
+    quantiles (:func:`from_draws`) or a normal approximation."""
 
     point: float
     interval: tuple[float, float]
     estimand: str
-    draws: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.draws is not None:
-            self.draws = np.asarray(self.draws, dtype=float)
-        lo, hi = self.interval
-        if self.draws is not None and not (lo <= self.point <= hi):
-            raise ValueError("point estimate must lie inside the interval")
 
     def to_dict(self) -> dict:
         return {
@@ -43,14 +32,12 @@ class ATEEstimate:
 
 
 def from_draws(draws, estimand: str) -> ATEEstimate:
+    """The posterior mean and the 3% and 97% quantiles of ``draws``. A skewed
+    posterior's mean may fall outside that interval."""
     draws = np.asarray(draws, dtype=float)
     lo, hi = np.quantile(draws, [0.03, 0.97])
-    return ATEEstimate(
-        point=float(np.mean(draws)),
-        interval=(float(lo), float(hi)),
-        estimand=estimand,
-        draws=draws,
-    )
+    return ATEEstimate(point=float(np.mean(draws)), interval=(float(lo), float(hi)),
+                       estimand=estimand)
 
 
 def naive_ate(t, y) -> ATEEstimate:

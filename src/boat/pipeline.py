@@ -192,6 +192,9 @@ class DesignMatrix:
         self.X = np.asarray(self.X, dtype=float)
         self.t = np.asarray(self.t)
         self.y = np.asarray(self.y, dtype=float)
+        for i, name in enumerate(self.covariate_names):
+            if name in self.covariate_names[:i]:
+                raise ContractError(f"covariate_names: {name!r} appears more than once")
         reject_non_finite("X", self.X, self.covariate_names)
         reject_non_finite("y", self.y)
         reject_non_binary("t", self.t)
@@ -473,21 +476,19 @@ def filter_trips(trips: TripTable) -> tuple[TripTable, list[tuple[str, str]]]:
 
 
 def aggregate_to_vehicle(
-    trips: TripTable,
-    target_spec: str = "fuel_per_km",
-    timezone: str = DEFAULT_TIMEZONE,
+    trips: TripTable, target_spec: str = "fuel_per_km"
 ) -> tuple[list[VehicleAggregate], list[dict]]:
     """Collapse kept trips to one row per vehicle with the 14 covariates.
 
     ``target_spec`` selects the target: total fuel (or energy) over total
     distance. Vehicles with zero total distance cannot have a target and
     are excluded with a report entry. Output is sorted by vehicle_id.
-    Weekdays are counted in ``timezone`` for stamps with a UTC offset and
-    as written for naive ones.
+    Weekdays are counted in ``DEFAULT_TIMEZONE`` for stamps with a UTC
+    offset and as written for naive ones.
     """
     if target_spec not in ("fuel_per_km", "energy_per_km"):
         raise ValueError(f"unknown target_spec: {target_spec!r}")
-    tz = ZoneInfo(timezone)
+    tz = ZoneInfo(DEFAULT_TIMEZONE)
     # np.unique(vehicle_id, return_inverse=True), by a dict: sorting every
     # id of an object array compares them in Python, ~7x slower
     ids = trips.vehicle_id.tolist()
@@ -569,7 +570,7 @@ def min_max_scale(matrix, names=None) -> np.ndarray:
     return (X - mins) / (maxs - mins)
 
 
-def build_design(aggregates, covariate_names=None, scale=True) -> DesignMatrix:
+def build_design(aggregates, covariate_names=None) -> DesignMatrix:
     """Assemble a scaled design matrix from vehicle aggregates.
 
     Row order follows the input; treatment comes from the group label
@@ -589,7 +590,7 @@ def build_design(aggregates, covariate_names=None, scale=True) -> DesignMatrix:
         [[agg.covariates[c] for c in covariate_names] for agg in aggregates],
         dtype=float,
     )
-    if scale and X.size:
+    if X.size:
         X = min_max_scale(X, covariate_names)
     return DesignMatrix(
         unit_ids=np.array([a.vehicle_id for a in aggregates]),

@@ -72,34 +72,26 @@ __all__ = [
 PROB_FLOOR = 1e-12
 
 
+# The scale of the half-Cauchy prior the linear families put on sigma.
+NOISE_SCALE = 5.0
+
+
 @dataclass(frozen=True)
 class PriorSpec:
-    """Zero-mean Gaussian prior scales and the noise prior's scale.
-
-    ``beta_scales`` may be a scalar (shared across coefficients) or a
-    sequence with one scale per coefficient. The linear families put a
-    half-Cauchy(``noise_scale``) prior on sigma; ``logistic`` ignores it.
-    Every scale must be finite and > 0.
-    """
+    """Zero-mean Gaussian prior scales: ``alpha_scale`` for the intercept and
+    ``beta_scale`` for every coefficient. Each must be finite and > 0."""
 
     alpha_scale: float = 1.0
-    beta_scales: float | tuple[float, ...] = 1.0
-    noise_scale: float = 5.0
+    beta_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("alpha_scale", "beta_scales", "noise_scale"):
+        for name in ("alpha_scale", "beta_scale"):
             value = getattr(self, name)
-            scales = np.asarray(value, dtype=float)
-            if not np.all(np.isfinite(scales) & (scales > 0)):
+            if not 0 < value < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     def beta_scale_vector(self, k: int) -> np.ndarray:
-        scales = np.atleast_1d(np.asarray(self.beta_scales, dtype=float))
-        if scales.size == 1:
-            return np.full(k, scales[0])
-        if scales.size != k:
-            raise ContractError(f"expected {k} beta scales, got {scales.size}")
-        return scales.copy()
+        return np.full(k, float(self.beta_scale))
 
 
 @dataclass(frozen=True)
@@ -192,12 +184,13 @@ class PreparedLinear(PreparedModel):
     """``did_linear`` and ``rdd_linear``: the row count ``n``, the Gram
     matrix ``gram`` = D^T D of D = [1, X], a least-squares solution
     ``b_hat``, its residual sum of squares ``rss0``, and the half-Cauchy
-    prior's ``noise_scale``. The last parameter is log sigma."""
+    prior's ``noise_scale`` (``NOISE_SCALE`` when prepared). The last
+    parameter is log sigma."""
 
     def __init__(self, model, names, prior_scales, n, gram, b_hat, rss0):
         super().__init__(model, names, prior_scales)
         self.n, self.gram, self.b_hat, self.rss0 = n, gram, b_hat, rss0
-        self.noise_scale = model.priors.noise_scale
+        self.noise_scale = NOISE_SCALE
         self.noise_lognorm = np.log(2.0) - np.log(np.pi) - np.log(self.noise_scale)
         self.half_log_2pi = 0.5 * np.log(2.0 * np.pi)
 

@@ -11,6 +11,7 @@ form.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,15 @@ __all__ = [
     "write_rdd_csv",
 ]
 
+N_COVARIATES = 2  # confounded_psm's covariates x1, x2, ...
+Z_COEF = 0.5  # cutoff_rdd's coefficient on z
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    scenario: str
+    """One study's settings; each ``simulate_*`` function reads those of its
+    own scenario."""
+
     n_control: int = 200
     n_treated: int = 40
     true_ate: float = -0.3
@@ -41,14 +47,14 @@ class ScenarioSpec:
     seasonal_amplitude: float = 0.0
     cutoff: float = 60.0
     slope: float = 0.5
-    z_coef: float = 0.5
     noise_sd: float = 0.5
-    n_covariates: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if self.scenario not in ("confounded_psm", "seasonal_did", "cutoff_rdd"):
-            raise ValueError(f"unknown scenario: {self.scenario!r}")
+        for name in ("true_ate", "confound_strength", "seasonal_amplitude", "cutoff", "slope",
+                     "noise_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_control < 2 or self.n_treated < 2:
             raise ValueError("group sizes must be >= 2")
         if self.noise_sd <= 0:
@@ -62,11 +68,9 @@ def simulate_confounded(spec: ScenarioSpec) -> tuple[DesignMatrix, dict]:
     confound_strength) and the outcome baseline, so the naive contrast is
     biased whenever confound_strength > 0.
     """
-    if spec.scenario != "confounded_psm":
-        raise ValueError("spec.scenario must be 'confounded_psm'")
     rng = np.random.default_rng(spec.seed)
     n = spec.n_control + spec.n_treated
-    X = rng.uniform(0.0, 1.0, size=(n, spec.n_covariates))
+    X = rng.uniform(0.0, 1.0, size=(n, N_COVARIATES))
     # intercept chosen so the expected treated share matches the spec
     share = spec.n_treated / n
     alpha = np.log(share / (1.0 - share)) - spec.confound_strength * 0.5
@@ -86,7 +90,7 @@ def simulate_confounded(spec: ScenarioSpec) -> tuple[DesignMatrix, dict]:
         X=X,
         t=t,
         y=y,
-        covariate_names=[f"x{j + 1}" for j in range(spec.n_covariates)],
+        covariate_names=[f"x{j + 1}" for j in range(N_COVARIATES)],
     )
     truth = {"true_ate": spec.true_ate, "true_propensity": propensity}
     return data, truth
@@ -99,8 +103,6 @@ def simulate_seasonal_panel(spec: ScenarioSpec) -> tuple[PanelDataset, dict]:
     gap), both shift by seasonal_amplitude between periods, and the
     treated group additionally shifts by true_ate.
     """
-    if spec.scenario != "seasonal_did":
-        raise ValueError("spec.scenario must be 'seasonal_did'")
     rng = np.random.default_rng(spec.seed)
     n = spec.n_control + spec.n_treated
     treated = np.concatenate(
@@ -124,11 +126,9 @@ def simulate_seasonal_panel(spec: ScenarioSpec) -> tuple[PanelDataset, dict]:
 def simulate_discontinuity(spec: ScenarioSpec) -> tuple[RddDataset, dict]:
     """Sharp cutoff on a uniform running variable.
 
-    y = 2 + slope*(x - c) + true_ate*t + z_coef*z + noise, with
+    y = 2 + slope*(x - c) + true_ate*t + Z_COEF*z + noise, with
     t = 1(x >= c) and z independent.
     """
-    if spec.scenario != "cutoff_rdd":
-        raise ValueError("spec.scenario must be 'cutoff_rdd'")
     rng = np.random.default_rng(spec.seed)
     n = spec.n_control + spec.n_treated
     c = spec.cutoff
@@ -140,7 +140,7 @@ def simulate_discontinuity(spec: ScenarioSpec) -> tuple[RddDataset, dict]:
         2.0
         + spec.slope * xc
         + spec.true_ate * t
-        + spec.z_coef * z
+        + Z_COEF * z
         + rng.normal(0.0, spec.noise_sd, size=n)
     )
     data = RddDataset(assignment=x, y=y, cutoff=c, z=z)
@@ -182,13 +182,13 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
 
 
 def write_rdd_csv(data: RddDataset, path) -> None:
-    """CSV: unit_id, assignment x, y, z."""
+    """CSV: unit_id (the row index), assignment x, y, z."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         cols = ["unit_id", "x", "y"] + (["z"] if data.z is not None else [])
         writer.writerow(cols)
         for i in range(len(data.y)):
-            row = [data.unit_ids[i], repr(float(data.assignment[i])), repr(float(data.y[i]))]
+            row = [i, repr(float(data.assignment[i])), repr(float(data.y[i]))]
             if data.z is not None:
                 row.append(repr(float(data.z[i])))
             writer.writerow(row)

@@ -117,7 +117,7 @@ def test_02_gradient_fidelity(criterion):
                                ["beta_slope", "beta_treat", "beta_slope_treat", "beta_z"]),
             }[family]
             dm = DesignMatrix(unit_ids=np.arange(n), X=C, t=t, y=y, covariate_names=names)
-            model = ModelSpec(family, PriorSpec(alpha_scale=1.0, beta_scales=0.7))
+            model = ModelSpec(family, PriorSpec(alpha_scale=1.0, beta_scale=0.7))
             d = len(param_names(model, dm))
             rng = np.random.default_rng(42)
             for _ in range(100):
@@ -239,7 +239,7 @@ def test_06_bpsm_debiasing(criterion):
         cfg_base = dict(draws=1200, warmup=300, chains=2)
         for seed in range(20):
             spec = ScenarioSpec(
-                "confounded_psm", n_control=400, n_treated=40,
+                n_control=400, n_treated=40,
                 true_ate=-0.3, confound_strength=3.0, seed=seed,
             )
             data, _ = simulate_confounded(spec)
@@ -264,7 +264,7 @@ def test_07_bdid_recovery_under_common_shock(criterion):
         covered = 0
         for seed in range(20):
             spec = ScenarioSpec(
-                "seasonal_did", n_control=200, n_treated=200,
+                n_control=200, n_treated=200,
                 true_ate=-0.3, seasonal_amplitude=3.0, seed=seed,
             )
             panel, _ = simulate_seasonal_panel(spec)
@@ -280,7 +280,7 @@ def test_08_brdd_recovery_and_gap_identity(criterion):
         covered = 0
         for seed in range(20):
             spec = ScenarioSpec(
-                "cutoff_rdd", n_control=500, n_treated=500,
+                n_control=500, n_treated=500,
                 true_ate=-1.2, cutoff=60.0, slope=0.5, seed=seed,
             )
             data, _ = simulate_discontinuity(spec)

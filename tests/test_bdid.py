@@ -221,7 +221,7 @@ class TestParallelTrend:
         assert r["abs_slope_gap"] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_slopes(self):
-        r = parallel_trend_check([0.0, 2.0], [0.0, 1.0], tolerance=0.5)
+        r = parallel_trend_check([0.0, 2.0], [0.0, 1.0])
         assert r["slope_c"] == pytest.approx(2.0)
         assert r["slope_t"] == pytest.approx(1.0)
         assert r["abs_slope_gap"] == pytest.approx(1.0)

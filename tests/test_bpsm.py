@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from boat import bpsm
 from boat.bpsm import (
     MatchResult,
     PropensityScores,
@@ -14,7 +15,7 @@ from boat.bpsm import (
     positivity_check,
     propensity_scores,
 )
-from boat.effects import Z_94, naive_ate
+from boat.effects import Z_94, from_draws, naive_ate
 from boat.errors import ContractError, EstimationError, PositivityError
 from boat.nuts import PosteriorSamples, SamplerConfig
 from boat.pipeline import DesignMatrix
@@ -331,21 +332,23 @@ class TestBalanceAndPositivity:
 
     def test_overlap_identical(self):
         scores = make_scores([0.2, 0.5, 0.8], [0.2, 0.5, 0.8])
-        assert positivity_check(scores, bins=10)["overlap_fraction"] == 1.0
+        assert positivity_check(scores)["overlap_fraction"] == 1.0
 
     def test_disjoint_supports(self):
         rng = np.random.default_rng(6)
         scores = make_scores(rng.uniform(0.7, 0.99, 20), rng.uniform(0.01, 0.3, 20))
-        report = positivity_check(scores, bins=10)
+        report = positivity_check(scores)
         assert report["overlap_fraction"] == 0.0
         occupied = set(np.clip((np.concatenate([scores.mean_score]) * 10).astype(int), 0, 9))
         assert set(report["violating_bins"]) == occupied
 
-    def test_flags_match_direct_oracle(self):
+    def test_flags_match_direct_oracle(self, monkeypatch):
         rng = np.random.default_rng(7)
         scores = make_scores(rng.uniform(0, 1, 30), rng.uniform(0, 1, 30))
         bins = 8
-        report = positivity_check(scores, bins=bins)
+        monkeypatch.setattr(bpsm, "POSITIVITY_BINS", bins)
+        report = positivity_check(scores)
+        assert report["bins"] == bins
         edges = np.linspace(0, 1, bins + 1)
         expected = []
         for b in range(bins):
@@ -358,10 +361,6 @@ class TestBalanceAndPositivity:
             if (n_t == 0) != (n_c == 0):
                 expected.append(b)
         assert report["violating_bins"] == expected
-
-    def test_bins_validation(self):
-        with pytest.raises(ValueError):
-            positivity_check(make_scores([0.5], [0.5]), bins=1)
 
 
 class TestAtePsm:
@@ -415,6 +414,13 @@ class TestNaiveAte:
     def test_single_arm(self):
         with pytest.raises(PositivityError):
             naive_ate([1, 1], [1.0, 2.0])
+
+
+def test_from_draws_keeps_a_skewed_posterior_mean():
+    # 2% of the draws far out: the mean, 20, lies above both quantiles
+    est = from_draws(np.r_[np.zeros(980), np.full(20, 1e3)], "ate_did")
+    assert est.point == 20.0
+    assert est.interval == (0.0, 0.0)
 
 
 class TestMatchExport:

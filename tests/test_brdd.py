@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boat import brdd
+from boat import brdd, prob_core
 from boat.brdd import (
     RddDataset,
     ate_rdd,
@@ -114,8 +114,8 @@ class TestFitRdd:
     def test_default_priors(self):
         p = default_rdd_priors()
         assert p.alpha_scale == 1.0
-        assert p.beta_scales == 0.5
-        assert p.noise_scale == 5.0
+        assert p.beta_scale == 0.5
+        assert prob_core.NOISE_SCALE == 5.0
 
 
 class TestRegressors:

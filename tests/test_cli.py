@@ -121,6 +121,18 @@ class TestSimulateCommand:
         assert main(argv + ["--out", str(b)]) == 0
         assert (a / "rdd.csv").read_bytes() == (b / "rdd.csv").read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--cutoff", "inf"), ("--noise-sd", "nan"),
+                                             ("--slope", "-inf")])
+    def test_non_finite_setting_errors(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sim"
+        code = main(["simulate", "--scenario", "cutoff_rdd", f"{flag}={value}", "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        field = flag[2:].replace("-", "_")
+        assert err["message"] == f"{field} must be finite, got {float(value)!r}"
+        assert not out.exists()
+
 
 class TestBpsmCommand:
     def make_data(self, tmp_path):
@@ -188,7 +200,21 @@ class TestBpsmCommand:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert err["message"] == "beta_scales must be finite and > 0, got nan"
+        assert err["message"] == "beta_scale must be finite and > 0, got nan"
+        assert fits == []
+        assert not out.exists()
+
+    def test_repeated_covariate_errors_before_the_fit(self, tmp_path, capsys, monkeypatch):
+        data = self.make_data(tmp_path)
+        out = tmp_path / "run"
+        fits = []
+        monkeypatch.setattr(bpsm, "fit_propensity", lambda *args: fits.append(args))
+        code = main(["bpsm", "--data", str(data), "--covariates", "x1,x1",
+                     "--out", str(out), *FAST])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ContractError"
+        assert err["message"] == "covariate_names: 'x1' appears more than once"
         assert fits == []
         assert not out.exists()
 
@@ -415,6 +441,35 @@ class TestBrddCommand:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SchemaError"
+
+    def test_z_filter_on_another_column(self, tmp_path, capsys, monkeypatch):
+        data = self.make_data(tmp_path)
+        out = tmp_path / "o"
+        fits = []
+        monkeypatch.setattr(brdd, "fit_rdd", lambda *args: fits.append(args))
+        code = main(["brdd", "--data", str(data), "--z-col", "z", "--z-filter", "y>0.5",
+                     "--out", str(out), *FAST])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["message"] == ("--z-filter 'y>0.5' names column 'y', not the --z-col "
+                                  "column 'z'")
+        assert fits == []
+        assert not out.exists()
+
+    def test_z_filter_keeping_no_rows(self, tmp_path, capsys, monkeypatch):
+        data = self.make_data(tmp_path)
+        out = tmp_path / "o"
+        fits = []
+        monkeypatch.setattr(brdd, "fit_rdd", lambda *args: fits.append(args))
+        code = main(["brdd", "--data", str(data), "--z-col", "z", "--z-filter", "z>5",
+                     "--out", str(out), *FAST])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["message"] == "--z-filter 'z>5' keeps no rows"
+        assert fits == []
+        assert not out.exists()
 
     def test_bad_filter_expression(self, tmp_path, capsys):
         data = self.make_data(tmp_path)

@@ -271,14 +271,15 @@ class TestAggregate:
         assert a[0].covariates == pytest.approx(b[0].covariates)
         assert a[0].target == b[0].target
 
-    def test_timezone_shifts_weekday_classification(self):
+    def test_timezone_shifts_weekday_classification(self, monkeypatch):
         # Friday 23:30 UTC is already Saturday in Stockholm (UTC+1)
         row = (
             "v1,2024-03-08T23:30:00+00:00,2024-03-09T00:30:00+00:00,50,1.0,"
             "100,,50,40,5,1,0,hybrid,1000,80,control"
         )
         aggs_sthlm, _ = aggregate_to_vehicle(trips_from([row]))
-        aggs_utc, _ = aggregate_to_vehicle(trips_from([row]), timezone="UTC")
+        monkeypatch.setattr(pipeline, "DEFAULT_TIMEZONE", "UTC")
+        aggs_utc, _ = aggregate_to_vehicle(trips_from([row]))
         assert aggs_sthlm[0].covariates["trips_weekend"] == 1.0
         assert aggs_utc[0].covariates["trips_weekday"] == 1.0
 
@@ -381,18 +382,21 @@ class TestBuildDesign:
                                                               [1.0] * len(varying)])
         assert list(dm.unit_ids) == ["v1", "v2"]
 
-    def test_unscaled_passthrough(self):
-        aggs, _ = aggregate_to_vehicle(trips_from(FIVE_TRIPS))
-        dm = build_design(aggs, scale=False)
-        j = COVARIATE_NAMES.index("avg_trip_distance")
-        assert dm.X[0, j] == pytest.approx(52.0)
+    def test_scaled_covariate_and_raw_target(self):
+        # one vehicle's columns are all constant, so a second one spans the scale
+        (agg,), _ = aggregate_to_vehicle(trips_from(FIVE_TRIPS))
+        assert agg.covariates["avg_trip_distance"] == pytest.approx(52.0)
+        other = VehicleAggregate("v2", {**agg.covariates, "avg_trip_distance": 26.0}, 60.0,
+                                 "control")
+        dm = build_design([agg, other], covariate_names=["avg_trip_distance"])
+        assert dm.X[:, 0].tolist() == [1.0, 0.0]
         assert dm.y[0] == pytest.approx(75.0)
 
     def test_unknown_group_rejected(self):
         rows = [FIVE_TRIPS[0].replace("treatment", "pilot")]
         aggs, _ = aggregate_to_vehicle(trips_from(rows))
         with pytest.raises(ContractError):
-            build_design(aggs, scale=False)
+            build_design(aggs)
 
     def test_binary_treatment_enforced(self):
         from boat.pipeline import DesignMatrix
@@ -427,6 +431,12 @@ class TestDesignMatrixBoundary:
         columns = self.columns()
         columns["X"][1, 1], columns["covariate_names"] = np.nan, ["a"]
         with pytest.raises(SchemaError, match=r"^X column 1: non-finite value nan at row 1$"):
+            DesignMatrix(**columns)
+
+    def test_repeated_covariate_name_rejected(self):
+        columns = self.columns()
+        columns["X"], columns["covariate_names"] = np.zeros((4, 3)), ["a", "b", "a"]
+        with pytest.raises(ContractError, match=r"^covariate_names: 'a' appears more than once$"):
             DesignMatrix(**columns)
 
 
@@ -653,13 +663,14 @@ def _aggregate_outcome(aggregate, trips, **kwargs):
     return [(a.vehicle_id, a.group, a.covariates, a.target) for a in aggs], excluded
 
 
-def assert_matches_reference(text, **aggregate_kwargs):
+def assert_matches_reference(text, zone="Europe/Stockholm", **aggregate_kwargs):
     table, rejects = ingest_trips(io.StringIO(text))
     trips, expected_rejects = reference_ingest(io.StringIO(text))
     assert rejects == expected_rejects
     assert _stamped(trip_rows(table)) == _stamped(trips)
-    got = _aggregate_outcome(aggregate_to_vehicle, table, **aggregate_kwargs)
-    want = _aggregate_outcome(reference_aggregate, trips, **aggregate_kwargs)
+    with mock.patch.object(pipeline, "DEFAULT_TIMEZONE", zone):
+        got = _aggregate_outcome(aggregate_to_vehicle, table, **aggregate_kwargs)
+    want = _aggregate_outcome(reference_aggregate, trips, timezone=zone, **aggregate_kwargs)
     if want[1] is None:
         assert got == want
         return
@@ -718,7 +729,7 @@ class TestMatchesReference:
         # small blocks put rows of every kind across block boundaries
         with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
             assert_matches_reference("\n".join([HEADER, *lines]) + "\n",
-                                     target_spec=target_spec, timezone=zone)
+                                     target_spec=target_spec, zone=zone)
 
     def test_file_longer_than_one_block(self):
         block = pipeline._BLOCK_ROWS

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from boat import simulate
+from boat.cli import build_parser
 from boat.effects import naive_ate
 from boat.simulate import (
     ScenarioSpec,
@@ -15,29 +17,30 @@ from boat.simulate import (
 
 class TestScenarioSpec:
     def test_unknown_scenario(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec("ab_test")
+        # each simulate function is its scenario; the CLI names them
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--scenario", "ab_test", "--out", "o"])
 
     def test_tiny_groups(self):
         with pytest.raises(ValueError):
-            ScenarioSpec("confounded_psm", n_control=1)
+            ScenarioSpec(n_control=1)
 
     def test_bad_noise(self):
         with pytest.raises(ValueError):
-            ScenarioSpec("confounded_psm", noise_sd=0.0)
+            ScenarioSpec(noise_sd=0.0)
 
-    def test_wrong_scenario_for_generator(self):
-        with pytest.raises(ValueError):
-            simulate_confounded(ScenarioSpec("seasonal_did"))
-        with pytest.raises(ValueError):
-            simulate_seasonal_panel(ScenarioSpec("cutoff_rdd"))
-        with pytest.raises(ValueError):
-            simulate_discontinuity(ScenarioSpec("confounded_psm"))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["true_ate", "confound_strength", "seasonal_amplitude",
+                                       "cutoff", "slope", "noise_sd"])
+    def test_rejects_non_finite_floats_naming_field_and_value(self, field, value):
+        with pytest.raises(ValueError) as err:
+            ScenarioSpec(**{field: value})
+        assert str(err.value) == f"{field} must be finite, got {value!r}"
 
 
 class TestConfounded:
     def test_deterministic(self):
-        spec = ScenarioSpec("confounded_psm", seed=7, confound_strength=2.0)
+        spec = ScenarioSpec(seed=7, confound_strength=2.0)
         a, ta = simulate_confounded(spec)
         b, tb = simulate_confounded(spec)
         np.testing.assert_array_equal(a.X, b.X)
@@ -45,8 +48,9 @@ class TestConfounded:
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(ta["true_propensity"], tb["true_propensity"])
 
-    def test_shapes_and_mixed_assignment(self):
-        spec = ScenarioSpec("confounded_psm", n_control=100, n_treated=30, n_covariates=3)
+    def test_shapes_and_mixed_assignment(self, monkeypatch):
+        monkeypatch.setattr(simulate, "N_COVARIATES", 3)
+        spec = ScenarioSpec(n_control=100, n_treated=30)
         data, truth = simulate_confounded(spec)
         assert data.X.shape == (130, 3)
         assert data.covariate_names == ["x1", "x2", "x3"]
@@ -58,7 +62,7 @@ class TestConfounded:
         points = []
         for seed in range(30):
             spec = ScenarioSpec(
-                "confounded_psm", n_control=300, n_treated=100,
+                n_control=300, n_treated=100,
                 true_ate=-0.3, confound_strength=0.0, seed=seed,
             )
             data, _ = simulate_confounded(spec)
@@ -72,7 +76,7 @@ class TestConfounded:
         points = []
         for seed in range(20):
             spec = ScenarioSpec(
-                "confounded_psm", n_control=400, n_treated=40,
+                n_control=400, n_treated=40,
                 true_ate=-0.3, confound_strength=3.0, seed=seed,
             )
             data, _ = simulate_confounded(spec)
@@ -80,7 +84,7 @@ class TestConfounded:
         assert np.mean(points) > -0.3 + 0.2
 
     def test_propensity_monotone_in_x1(self):
-        spec = ScenarioSpec("confounded_psm", confound_strength=2.0, seed=1)
+        spec = ScenarioSpec(confound_strength=2.0, seed=1)
         data, truth = simulate_confounded(spec)
         order = np.argsort(data.X[:, 0])
         p = truth["true_propensity"][order]
@@ -89,7 +93,7 @@ class TestConfounded:
 
 class TestSeasonalPanel:
     def test_deterministic(self):
-        spec = ScenarioSpec("seasonal_did", seed=3, seasonal_amplitude=2.0)
+        spec = ScenarioSpec(seed=3, seasonal_amplitude=2.0)
         a, _ = simulate_seasonal_panel(spec)
         b, _ = simulate_seasonal_panel(spec)
         np.testing.assert_array_equal(a.y_pre, b.y_pre)
@@ -102,7 +106,7 @@ class TestSeasonalPanel:
         estimates = []
         for seed in range(30):
             spec = ScenarioSpec(
-                "seasonal_did", n_control=200, n_treated=200,
+                n_control=200, n_treated=200,
                 true_ate=-0.3, seasonal_amplitude=5.0, seed=seed,
             )
             panel, _ = simulate_seasonal_panel(spec)
@@ -119,7 +123,7 @@ class TestSeasonalPanel:
 
     def test_post_minus_pre_contains_shock(self):
         spec = ScenarioSpec(
-            "seasonal_did", n_control=2000, n_treated=2000,
+            n_control=2000, n_treated=2000,
             seasonal_amplitude=5.0, true_ate=0.0, noise_sd=0.5, seed=0,
         )
         panel, truth = simulate_seasonal_panel(spec)
@@ -129,24 +133,25 @@ class TestSeasonalPanel:
 
 class TestDiscontinuity:
     def test_deterministic(self):
-        spec = ScenarioSpec("cutoff_rdd", seed=5)
+        spec = ScenarioSpec(seed=5)
         a, _ = simulate_discontinuity(spec)
         b, _ = simulate_discontinuity(spec)
         np.testing.assert_array_equal(a.assignment, b.assignment)
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_sharp_rule_and_support(self):
-        spec = ScenarioSpec("cutoff_rdd", cutoff=60.0, n_control=500, n_treated=500, seed=2)
+        spec = ScenarioSpec(cutoff=60.0, n_control=500, n_treated=500, seed=2)
         data, _ = simulate_discontinuity(spec)
         assert np.all(data.assignment >= 40.0) and np.all(data.assignment <= 80.0)
         np.testing.assert_array_equal(data.t, (data.assignment >= 60.0).astype(int))
 
-    def test_local_gap_matches_truth(self):
+    def test_local_gap_matches_truth(self, monkeypatch):
         # mean gap in a narrow window around the cutoff approaches the
         # true effect as noise averages out
+        monkeypatch.setattr(simulate, "Z_COEF", 0.0)
         spec = ScenarioSpec(
-            "cutoff_rdd", n_control=20000, n_treated=20000,
-            true_ate=-1.2, slope=0.0, z_coef=0.0, noise_sd=0.5, seed=0,
+            n_control=20000, n_treated=20000,
+            true_ate=-1.2, slope=0.0, noise_sd=0.5, seed=0,
         )
         data, _ = simulate_discontinuity(spec)
         near = np.abs(data.assignment - 60.0) < 1.0
@@ -157,7 +162,7 @@ class TestDiscontinuity:
 
 class TestCsvWriters:
     def test_design_round_trip(self, tmp_path):
-        data, _ = simulate_confounded(ScenarioSpec("confounded_psm", seed=1))
+        data, _ = simulate_confounded(ScenarioSpec(seed=1))
         path = tmp_path / "units.csv"
         write_design_csv(data, path)
         lines = path.read_text().splitlines()
@@ -168,7 +173,7 @@ class TestCsvWriters:
         assert float(parts[3]) == data.X[0, 0]
 
     def test_panel_long_format(self, tmp_path):
-        panel, _ = simulate_seasonal_panel(ScenarioSpec("seasonal_did", seed=1))
+        panel, _ = simulate_seasonal_panel(ScenarioSpec(seed=1))
         path = tmp_path / "panel.csv"
         write_panel_csv(panel, path)
         lines = path.read_text().splitlines()
@@ -179,7 +184,7 @@ class TestCsvWriters:
         assert lines[1 + n].split(",")[2] == "post"
 
     def test_rdd_exact_floats(self, tmp_path):
-        data, _ = simulate_discontinuity(ScenarioSpec("cutoff_rdd", seed=1))
+        data, _ = simulate_discontinuity(ScenarioSpec(seed=1))
         path = tmp_path / "rdd.csv"
         write_rdd_csv(data, path)
         lines = path.read_text().splitlines()

@@ -5,8 +5,9 @@ Each line is ``name sha256``, one for:
 - the draws of ``fit_propensity``, ``fit_did`` and ``fit_rdd`` at seeds 1-3;
 - the draws of four bare ``Target``s: a correlated Gaussian, a quartic, a
   density that is -inf on part of its domain, and Neal's funnel;
-- every file a fixed list of ``boat`` commands writes to ``--out``, at
-  seeds 1-2.
+- every file ``boat simulate`` writes for each scenario (its CSV and
+  ``truth.json``) and every file a fixed list of ``boat`` commands writes
+  to ``--out`` from those CSVs, at seeds 1-2.
 
 Run it on two checkouts and compare the outputs:
 
@@ -42,11 +43,11 @@ def cfg(seed):
 def fits():
     designs = [
         ("fit_propensity", fit_propensity, simulate.simulate_confounded,
-         dict(scenario="confounded_psm", confound_strength=1.0)),
+         dict(confound_strength=1.0)),
         ("fit_did", fit_did, simulate.simulate_seasonal_panel,
-         dict(scenario="seasonal_did", seasonal_amplitude=1.0)),
+         dict(seasonal_amplitude=1.0)),
         ("fit_rdd", fit_rdd, simulate.simulate_discontinuity,
-         dict(scenario="cutoff_rdd", n_control=150, n_treated=150)),
+         dict(n_control=150, n_treated=150)),
     ]
     for name, fit, simulate_fn, spec in designs:
         for seed in (1, 2, 3):
@@ -85,6 +86,10 @@ def targets():
         emit(f"target/{name}", sample(target, None, cfg=cfg(1)).draws.tobytes())
 
 
+# scenario -> the CSV that `boat simulate` writes for it
+SIMULATED = {"confounded_psm": "units.csv", "seasonal_did": "panel.csv", "cutoff_rdd": "rdd.csv"}
+
+
 def commands(sim: Path):
     units, panel, rdd = sim / "units.csv", sim / "panel.csv", sim / "rdd.csv"
     return {
@@ -101,8 +106,12 @@ def commands(sim: Path):
 def cli(tmp: Path):
     for seed in (1, 2):
         sim = tmp / f"sim{seed}"
-        for scenario in ("confounded_psm", "seasonal_did", "cutoff_rdd"):
-            main(["simulate", "--scenario", scenario, "--seed", str(seed), "--out", str(sim)])
+        for scenario, csv_name in SIMULATED.items():
+            argv = ["simulate", "--scenario", scenario, "--seed", str(seed), "--out", str(sim)]
+            if main(argv) != 0:
+                sys.exit(f"simulate {scenario} at seed {seed} failed")
+            for name in (csv_name, "truth.json"):  # truth.json is rewritten by each scenario
+                emit(f"cli/simulate/{scenario}/seed{seed}/{name}", (sim / name).read_bytes())
         for name, argv in commands(sim).items():
             out = tmp / f"{name}-{seed}"
             code = main([*argv, *SAMPLER_ARGS, "--seed", str(seed), "--out", str(out)])
