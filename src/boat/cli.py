@@ -85,6 +85,8 @@ class _Table:
             if not reader.fieldnames:
                 raise SchemaError(f"{path}: empty or headerless CSV")
             self.rows = list(reader)
+        if not self.rows:
+            raise SchemaError(f"{path}: no data rows")
         # csv.DictReader keeps the cells beyond the header under the key None
         for i, row in enumerate(self.rows):
             if None in row:

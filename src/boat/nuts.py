@@ -14,7 +14,8 @@ The tree is the multinomial variant: each leaf is weighted by its joint
 density exp(logp - |p|^2/2). A subtree is a leaf, or two halves and a
 merge; a transition doubles its trajectory, one subtree at a time, with
 the same merge. Each merge draws the proposal progressively: uniformly
-within a subtree, and biased toward the new subtree at the top.
+within a subtree, and biased toward the new subtree at the top. A leaf's
+and a merge's scalars are Python floats in ``math``, which never warn.
 
 Warm-up follows Stan's windows (Hoffman & Gelman, arXiv:1111.4246;
 Betancourt, arXiv:1701.02434): an initial buffer with the identity
@@ -202,7 +203,7 @@ class _Tree:
         energy_error = self.logw0 - logw
         diverged = (not math.isfinite(logw)) or energy_error > DIVERGENCE_THRESHOLD
         self.diverged = self.diverged or diverged
-        self.accept_sum += min(1.0, np.exp(min(0.0, -energy_error)))
+        self.accept_sum += math.exp(min(0.0, -energy_error))
         self.n_leaves += 1
         edge = (q1, p1, g1)
         return _Subtree(edge, edge, (q1, logp1, g1), logw, diverged)
@@ -223,10 +224,11 @@ class _Tree:
         taken with probability w_new / (w_old + w_new), or min(1, w_new / w_old)
         if ``biased``, with no draw when w_new is 0. Stops on new.stop or a U-turn."""
         minus, plus = (old.minus, new.plus) if direction == 1 else (new.minus, old.plus)
-        logw = np.logaddexp(old.logw, new.logw)
+        hi, lo = (old.logw, new.logw) if old.logw >= new.logw else (new.logw, old.logw)
+        logw = hi + math.log1p(math.exp(lo - hi)) if lo > -math.inf else hi
         proposal = old.proposal
         against = old.logw if biased else logw
-        if math.isfinite(new.logw) and np.log(self.rng.uniform()) < new.logw - against:
+        if math.isfinite(new.logw) and self.rng.random() < math.exp(min(0.0, new.logw - against)):
             proposal = new.proposal
         stop = new.stop or _is_turning(minus, plus)
         return _Subtree(minus, plus, proposal, logw, stop)
@@ -249,7 +251,7 @@ def _nuts_transition(q0, logp0, grad0, step, rng, evaluate):
     whole = _Subtree(start, start, (q0, logp0, grad0), logw0, False)
     depth = 0
     while depth < MAX_TREE_DEPTH and not whole.stop:
-        direction = 1 if rng.uniform() < 0.5 else -1
+        direction = 1 if rng.random() < 0.5 else -1
         new = tree.build(whole.plus if direction == 1 else whole.minus, depth, direction)
         if new.stop:
             break
@@ -349,14 +351,16 @@ def _evaluator(target: Target, chol=None):
     """``evaluate(z) -> (logp, grad_z)`` of the target in z, q = chol @ z
     (q = z without chol): one gradient and then one log-density call at q.
     logp is -inf, with no log-density call, when z or the gradient is not
-    finite; such a leaf diverges."""
+    finite; such a leaf diverges. A finite sum of the entries, as Python
+    floats, shows that all are finite, without the entrywise test."""
 
     def evaluate(z):
         q = z if chol is None else chol @ z
         grad = np.asarray(target.grad(q), dtype=float)
         if chol is not None:
             grad = chol.T @ grad
-        if np.isfinite(z).all() and np.isfinite(grad).all():
+        if math.isfinite(sum(z.tolist()) + sum(grad.tolist())) or (
+                np.isfinite(z).all() and np.isfinite(grad).all()):
             return target.logp(q), grad
         return -np.inf, grad
 

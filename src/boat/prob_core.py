@@ -20,8 +20,7 @@ memo keyed on the bytes of the parameter vector. ``logp`` and ``grad``
 read that memo: the sampler asks for the gradient and then the density at
 each leaf, and the two calls cost one evaluation. The sampler still calls
 :func:`log_posterior` and :func:`log_posterior_grad` once each per point,
-so a wrapper on those sees every evaluation, and each value is the one a
-separate computation would give, bit for bit.
+so a wrapper on those sees every evaluation.
 
 For the linear path the likelihood depends on the data only through a
 few sufficient statistics. With D = [1, X] (n rows), a least-squares
@@ -34,18 +33,21 @@ give D^T r0 = 0, so for any coefficient vector b
 with G = D^T D and RSS0 = ||r0||^2. An evaluation then costs O(k^2)
 whatever n is. RSS0 is summed row by row once, so this form keeps the
 accuracy that y^T y - 2 b^T D^T y + b^T G b loses when y has a large
-offset. b_hat from ``lstsq`` also covers a rank-deficient D.
+offset. b_hat from ``lstsq`` also covers a rank-deficient D. The scalar
+terms in sigma are Python floats, which overflow, underflow and turn NaN
+where the elementwise numpy form does, without raising.
 
-The ``logistic`` family is O(n k) per evaluation; its density and gradient
-share p = sigmoid(alpha + X beta):
+The ``logistic`` family is O(n k) per evaluation. With D = [1, X] and s =
+D^T t from ``prepare``, eta = D b and e = exp(-|eta|) (one exponential per
+row, which cannot overflow),
 
-- :func:`sigmoid` takes one exponential per element: with e = exp(-|z|)
-  and d = 1 + e it is 1/d where z >= 0 and e/d elsewhere. Neither branch
-  can overflow, and each element gets the same float operations as the
-  masked two-branch form 1/(1 + exp(-z)), exp(z)/(1 + exp(z)).
-- The log-likelihood sums where(t == 1, log p, log1p(-p)) with p clipped
-  into [PROB_FLOOR, 1 - PROB_FLOOR]. The clip keeps both logs finite, so
-  this equals t log p + (1 - t) log1p(-p) bit for bit.
+    l(b) = s^T b - sum(max(eta, 0) + log1p(e)),   grad = s - D^T p,
+
+with sum max(eta, 0) = (sum eta + sum |eta|) / 2 and p = sigmoid(eta) as
+1 / (1 + e) where eta >= 0 and e / (1 + e) elsewhere. There is no clip:
+with p clipped into [PROB_FLOOR, 1 - PROB_FLOOR], as :func:`sigmoid`'s
+callers in ``bpsm`` do, a row's log-likelihood would stop at log(1e-12) =
+-27.6, so the two forms differ for rows with |eta| beyond about 27.6.
 """
 
 from __future__ import annotations
@@ -90,9 +92,6 @@ class PriorSpec:
             if not 0 < value < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
-    def beta_scale_vector(self, k: int) -> np.ndarray:
-        return np.full(k, float(self.beta_scale))
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -113,8 +112,8 @@ class ModelSpec:
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, elementwise (see the module
-    docstring for its form)."""
+    """Numerically stable logistic function, elementwise: with e = exp(-|z|),
+    1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere."""
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
     d = 1.0 + e
@@ -132,7 +131,7 @@ class PreparedModel:
     def __init__(self, model: ModelSpec, names: tuple, prior_scales: np.ndarray):
         self.model, self.names = model, names
         self.prior_var = prior_scales**2
-        self.prior_lognorm = -0.5 * np.log(2.0 * np.pi) - np.log(prior_scales)
+        self.prior_const = float(np.sum(-0.5 * np.log(2.0 * np.pi) - np.log(prior_scales)))
         self._memo = None  # (parameter bytes, logp, read-only grad); replaced whole
 
     def _evaluate(self, params):
@@ -155,29 +154,29 @@ class PreparedModel:
     def grad(self, params) -> np.ndarray:
         return self._evaluate(params)[2].copy()
 
-    def _coef_prior(self, b) -> float:
-        lp = self.prior_lognorm - b**2 / (2.0 * self.prior_var)
-        return float(lp[0] + float(lp[1:].sum()))
+    def _coef_prior(self, b):
+        """The coefficient prior's log-density and minus its gradient."""
+        w = b / self.prior_var
+        return self.prior_const - 0.5 * float(b @ w), w
 
 
 class PreparedLogistic(PreparedModel):
-    """``logistic``: the predictor matrix ``X``, ``t`` as floats and the
-    mask ``t_mask`` = (t == 1)."""
+    """``logistic``: the design ``D`` = [1, X] (``X`` is a view of it), ``t``
+    as floats and the sufficient statistic ``s`` = D^T t."""
 
-    def __init__(self, model, names, prior_scales, X, t):
+    def __init__(self, model, names, prior_scales, D, t):
         super().__init__(model, names, prior_scales)
-        self.X, self.t, self.t_mask = X, t, t == 1.0
+        self.D, self.X, self.t, self.s = D, D[:, 1:], t, D.T @ t
 
     def _logp_and_grad(self, b):
-        logp, g = self._coef_prior(b), -b / self.prior_var
-        if self.t.size:
-            p = sigmoid(b[0] + self.X @ b[1:])
-            clipped = p.clip(PROB_FLOOR, 1.0 - PROB_FLOOR)
-            logp += float(np.where(self.t_mask, np.log(clipped), np.log1p(-clipped)).sum())
-            resid = self.t - p
-            g[0] += float(resid.sum())
-            g[1:] += self.X.T @ resid
-        return logp, g
+        logp, w = self._coef_prior(b)
+        eta = self.D @ b
+        abs_eta = np.abs(eta)
+        e = np.exp(-abs_eta)
+        # sum max(eta, 0) = (sum eta + sum |eta|) / 2; p = 1 / (1 + e^-eta)
+        logp += (float(self.s @ b) - 0.5 * (float(eta.sum()) + float(abs_eta.sum()))
+                 - float(np.log1p(e).sum()))
+        return logp, self.s - self.D.T @ (np.where(eta >= 0.0, 1.0, e) / (1.0 + e)) - w
 
 
 class PreparedLinear(PreparedModel):
@@ -191,50 +190,53 @@ class PreparedLinear(PreparedModel):
         super().__init__(model, names, prior_scales)
         self.n, self.gram, self.b_hat, self.rss0 = n, gram, b_hat, rss0
         self.noise_scale = NOISE_SCALE
-        self.noise_lognorm = np.log(2.0) - np.log(np.pi) - np.log(self.noise_scale)
-        self.half_log_2pi = 0.5 * np.log(2.0 * np.pi)
+        # the half-Cauchy's log(2 / (pi s)) joins the coefficient prior's constant
+        self.prior_const += math.log(2.0 / math.pi) - math.log(self.noise_scale)
+        self.half_log_2pi = 0.5 * math.log(2.0 * math.pi)
 
     def _logp_and_grad(self, params):
-        b, log_sigma = params[:-1], params[-1]
+        b, log_sigma = params[:-1], float(params[-1])
         s = self.noise_scale
-        sigma = np.exp(log_sigma)
-        sigma2 = sigma**2
-        # half-Cauchy on sigma plus the log-Jacobian of sigma = exp(log_sigma),
-        # and its derivative in log_sigma
-        logp = self._coef_prior(b) + (
-            self.noise_lognorm - np.log1p((sigma / s) ** 2) + log_sigma)
-        g, g_ls = -b / self.prior_var, 1.0 - 2.0 * sigma2 / (s**2 + sigma2)
+        try:
+            sigma = math.exp(log_sigma)
+        except OverflowError:
+            sigma = math.inf
+        # sigma**2 overflows at log_sigma > 354.9, (sigma / s)**2 only later
+        sigma2, u = sigma * sigma, sigma / s
+        # half-Cauchy on sigma and the log-Jacobian of sigma = exp(log_sigma)
+        logp, w = self._coef_prior(b)
+        logp += log_sigma - math.log1p(u * u)
+        g = np.empty(len(params))
+        np.negative(w, out=g[:-1])
+        g[-1] = 1.0 - 2.0 * sigma2 / (s * s + sigma2)
         if self.n:
             d = b - self.b_hat
             gd = self.gram @ d
             rss = self.rss0 + float(d @ gd)
-            if 0.0 < sigma < np.inf:
-                logp += -self.n * (self.half_log_2pi + log_sigma) - rss / (2.0 * sigma2)
-            else:
-                logp = -np.inf
-            g -= gd / sigma2
-            g_ls += -self.n + rss / sigma2
-        return logp, np.concatenate((g, [g_ls]))
+            inv = 1.0 / sigma2 if sigma2 else math.inf
+            logp -= self.n * (self.half_log_2pi + log_sigma) + 0.5 * rss * inv
+            g[:-1] -= gd * inv
+            g[-1] += rss * inv - self.n
+        return logp, g
 
 
 def prepare(model: ModelSpec, data) -> PreparedModel:
     """Reduce ``data`` to its family's :class:`PreparedModel`: one O(n k^2) pass."""
     names = tuple(param_names(model, data))
     n_coef = len(names) - (1 if model.family == "logistic" else 2)
-    priors = model.priors
-    scales = np.concatenate(([priors.alpha_scale], priors.beta_scale_vector(n_coef)))
+    scales = np.array([model.priors.alpha_scale] + [model.priors.beta_scale] * n_coef, dtype=float)
     X = np.asarray(data.X, dtype=float)
     if X.shape[1] != n_coef:
         raise ContractError(f"{X.shape[1]} regressor columns but {n_coef} coefficient names")
+    D = np.column_stack([np.ones(len(X)), X])
     if model.family == "logistic":
         t = np.asarray(data.t)
         if not np.all((t == 0) | (t == 1)):
             raise ValueError("t must be 0 or 1")
         if not np.all(np.isfinite(X)):
             raise ContractError("model data contain non-finite values")
-        return PreparedLogistic(model, names, scales, X, t.astype(float))
+        return PreparedLogistic(model, names, scales, D, t.astype(float))
     y = np.asarray(data.y, dtype=float)
-    D = np.column_stack([np.ones(len(y)), X])
     if not (np.all(np.isfinite(D)) and np.all(np.isfinite(y))):
         raise ContractError("model data contain non-finite values")
     b_hat = np.linalg.lstsq(D, y, rcond=None)[0]

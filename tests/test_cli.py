@@ -545,6 +545,22 @@ class TestFitCommand:
         assert repr(column) in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["bpsm", "--covariates", "x1"], id="bpsm"),
+        pytest.param(["bdid"], id="bdid"),
+        pytest.param(["brdd"], id="brdd"),
+    ])
+    def test_header_without_rows_errors_before_the_fit(self, tmp_path, capsys, argv):
+        data = self.MAKE_DATA[argv[0]]().make_data(tmp_path)
+        path = tmp_path / "header_only.csv"
+        path.write_text(data.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "o"
+        assert main([*argv, "--data", str(path), "--out", str(out), *FAST]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["message"] == f"{path}: no data rows"
+        assert not out.exists()
+
     def test_parser_flags_and_defaults(self):
         sampler = {"draws": 3000, "warmup": 200, "chains": 2, "seed": 0,
                    "alpha_scale": 1.0, "beta_scale": 1.0, "out": "o"}

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -162,7 +164,7 @@ class StubRng:
         self.uniforms = list(uniforms)
         self.drawn = 0
 
-    def uniform(self):
+    def random(self):
         self.drawn += 1
         return self.uniforms.pop(0)
 
@@ -234,6 +236,104 @@ class TestTreeMerge:
             assert merged.minus is old.minus and merged.plus is new.plus
         else:
             assert merged.minus is new.minus and merged.plus is old.plus
+
+
+class TestScalarTreeArithmetic:
+    """The tree's scalar steps in ``math``: the merged log weight, the
+    proposal draw and a leaf's accept term, at the non-finite edges."""
+
+    @pytest.mark.parametrize("old_logw, new_logw", [
+        (-np.inf, 0.3), (0.3, -np.inf), (-np.inf, -np.inf), (1.25, 1.25), (-7.0, -7.0),
+        (0.0, -41.0), (-41.0, 0.0), (2.0, -745.0), (-3.0, 50.0), (1e3, -1e3), (0.1, 0.2),
+    ])
+    def test_merged_log_weight_matches_logaddexp(self, old_logw, new_logw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            merged = merge(StubRng(0.9), subtree(0.0, 1.0, old_logw),
+                           subtree(1.5, 2.0, new_logw, name="new"))
+        assert merged.logw == np.logaddexp(old_logw, new_logw)
+
+    @pytest.mark.parametrize("biased", [False, True])
+    @pytest.mark.parametrize("new_logw, draws", [(0.4, 1), (-800.0, 1), (-np.inf, 0)])
+    def test_proposal_draws_one_uniform_from_the_generator_when_new_has_weight(
+            self, biased, new_logw, draws):
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        merge(rng, subtree(0.0, 1.0, 0.0), subtree(1.5, 2.0, new_logw, name="new"),
+              biased=biased)
+        for _ in range(draws):
+            twin.random()
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("biased", [False, True])
+    @pytest.mark.parametrize("new_logw, taken", [(-800.0, "old"), (0.0, "new"), (800.0, "new")])
+    def test_uniform_of_zero_and_large_weight_ratios_raise_nothing(
+            self, biased, new_logw, taken):
+        # exp(new_logw - against) underflows to 0 at -800 and is capped at 1
+        # for a ratio above 1 (biased, 800), which would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            merged = merge(StubRng(0.0), subtree(0.0, 1.0, 0.0),
+                           subtree(1.5, 2.0, new_logw, name="new"), biased=biased)
+        assert merged.proposal == taken
+
+    @pytest.mark.parametrize("logw0, logp1, accept, diverged", [
+        (0.0, -0.5, math.exp(-0.5), False),
+        (0.0, 0.5, 1.0, False),
+        (0.0, -np.inf, 0.0, True),     # energy error +inf
+        (-np.inf, 0.0, 1.0, False),    # energy error -inf
+        (np.nan, 0.0, 1.0, False),     # energy error NaN: min(0.0, NaN) is 0.0
+    ])
+    def test_leaf_accept_term(self, logw0, logp1, accept, diverged):
+        # zero momentum and gradient: the leaf's log weight is logp1
+        tree = nuts._Tree(lambda q: (logp1, np.zeros(1)), 0.1, logw0, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            leaf = tree._leaf(np.zeros(1), np.zeros(1), np.zeros(1), 1)
+        assert tree.accept_sum == accept and tree.n_leaves == 1
+        assert tree.diverged == leaf.stop == diverged
+        # the same term evaluated in numpy
+        assert tree.accept_sum == min(1.0, float(np.exp(min(0.0, -(logw0 - leaf.logw)))))
+
+
+class TestEvaluatorFiniteness:
+    """``_evaluator`` calls the log-density only where z and the gradient are
+    finite; a finite sum of their entries settles it at once."""
+
+    @staticmethod
+    def evaluate(z, grad_value):
+        calls = []
+
+        def logp(q):
+            calls.append(q)
+            return -1.5
+
+        target = Target(logp, lambda q: np.array(grad_value, dtype=float), ("a", "b"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = nuts._evaluator(target)(np.array(z, dtype=float))
+        return result, len(calls)
+
+    @pytest.mark.parametrize("grad_value", [
+        [np.inf, 0.0], [0.0, -np.inf], [np.nan, 1.0], [np.inf, -np.inf], [np.nan, np.nan],
+    ])
+    def test_non_finite_gradient_entry(self, grad_value):
+        (logp, grad), calls = self.evaluate([0.1, 0.2], grad_value)
+        assert logp == -np.inf and calls == 0
+        assert np.array_equal(grad, grad_value, equal_nan=True)
+
+    @pytest.mark.parametrize("z", [[np.inf, 0.0], [-np.inf, 1.0], [np.nan, 0.0]])
+    def test_non_finite_point(self, z):
+        (logp, _), calls = self.evaluate(z, [0.0, 1.0])
+        assert logp == -np.inf and calls == 0
+
+    @pytest.mark.parametrize("z, grad_value", [
+        ([1e308, 1e308], [0.0, 1.0]), ([0.1, 0.2], [1e308, 1e308]),
+        ([-1e308, -1e308], [-1e308, -1e308]), ([0.1, 0.2], [-0.5, 2.0]),
+    ])
+    def test_finite_entries_whose_sum_may_overflow(self, z, grad_value):
+        (logp, grad), calls = self.evaluate(z, grad_value)
+        assert logp == -1.5 and calls == 1
+        assert np.array_equal(grad, grad_value)
 
 
 class TestOneTransitionInvariance:
