@@ -81,12 +81,6 @@ class MatchResult:
     def treated_ids(self):
         return [t for t, _, _ in self.pairs]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("treated_id,control_id,distance\n")
-            for tid, cid, dist in self.pairs:
-                fh.write(f"{tid},{cid},{dist!r}\n")
-
 
 def fit_propensity(
     data: DesignMatrix, priors: PriorSpec = None, cfg: SamplerConfig = None

@@ -96,13 +96,18 @@ def fit_rdd(
             "all observations fall on one side of the cutoff; effect not identified"
         )
     xc = data.assignment - data.cutoff
-    x_scale = float(np.std(xc))
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        x_scale = float(np.std(xc))
     if x_scale == 0.0:
         raise EstimationError("assignment variable is constant")
+    if not np.isfinite(x_scale):
+        raise EstimationError("assignment variable's spread around the cutoff overflows")
     y_min, y_max = float(np.min(data.y)), float(np.max(data.y))
     y_range = y_max - y_min
     if y_range == 0.0:
         raise EstimationError("target variable is constant")
+    if not np.isfinite(y_range):
+        raise EstimationError("target variable's range overflows")
 
     xs, tf = xc / x_scale, t.astype(float)
     cols, names = [xs, tf, xs * tf], ["beta_slope", TREAT_COEF, "beta_slope_treat"]

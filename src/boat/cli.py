@@ -1,17 +1,23 @@
 """Command-line entry point: pipeline -> model -> report, plus the
 decision-flowchart advisor.
 
+This is the only module that writes files. A command renders every file
+it writes to text in memory first (`_json`, `_csv`); then `_write` creates
+--out and writes them all, in one place. So a run that fails, while reading
+its input, fitting or rendering, leaves no --out directory.
+
 `boat bpsm`, `boat bdid` and `boat brdd` share one command function,
 `_cmd_fit`. It reads --data through one reader, `_Table`, and hands it to the
 design's function, which returns (posterior, ate, report, plot_rows,
-extra_artifacts): the report's assumption checks, the plot_data.csv rows
-(header first) and {file name: writer} for design-only files (matches.csv for
-bpsm). `_cmd_fit` writes draws.csv, the extra artifacts, report.json,
+extra_files): the report's assumption checks, the plot_data.csv rows
+(header first) and {file name: text} for design-only files (matches.csv for
+bpsm). `_cmd_fit` writes draws.csv, the extra files, report.json,
 plot_data.csv and summary.json (posterior summaries, R-hat, effect estimate,
-per-chain sampler statistics) into --out and nothing else, creating --out
-only then. Failures exit nonzero with an error JSON on stderr; a design
-function writes nothing, so an input it rejects leaves no artifact and no
---out directory. All JSON outputs carry "schema": "boat/1".
+per-chain sampler statistics) into --out and nothing else. `boat simulate`
+writes one scenario's CSV in the layout its design's reader reads (each row
+builder sits next to that reader) and its truth beside it, as units.csv and
+units_truth.json, say. Failures exit nonzero with an error JSON on stderr.
+All JSON outputs carry "schema": "boat/1".
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import operator
 import os
@@ -149,21 +156,24 @@ def _sampler_config(args) -> SamplerConfig:
                          seed=args.seed)
 
 
-def _write_json(path, payload) -> None:
-    # serialised before the file is opened, so a value strict JSON cannot
-    # hold leaves no partial file behind
-    text = json.dumps({"schema": SCHEMA, **payload}, indent=2, default=_jsonable,
-                      allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _json(payload) -> str:
+    """Strict JSON: a NaN or an infinity raises ValueError."""
+    return json.dumps({"schema": SCHEMA, **payload}, indent=2, default=np.ndarray.tolist,
+                      allow_nan=False) + "\n"
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _write(out, files) -> None:
+    """Create ``out`` and write {file name: text} into it."""
+    os.makedirs(out, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(out, name), "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _converged(posterior_summary) -> bool:
@@ -172,6 +182,18 @@ def _converged(posterior_summary) -> bool:
         rec["rhat"] is not None and rec["rhat"] < 1.1
         for rec in posterior_summary.values()
     )
+
+
+_GROUPS = ("control", "treatment")  # by treatment indicator
+
+
+def _units_rows(data: DesignMatrix) -> list:
+    """A unit-level study as `_fit_bpsm` reads it: unit_id, group, y, covariates."""
+    return [["unit_id", "group", "y", *data.covariate_names]] + [
+        [uid, _GROUPS[ti], repr(yi), *map(repr, xi)]
+        for uid, ti, yi, xi in zip(data.unit_ids.tolist(), data.t.tolist(), data.y.tolist(),
+                                   data.X.tolist())
+    ]
 
 
 def _fit_bpsm(args, table: _Table):
@@ -211,7 +233,19 @@ def _fit_bpsm(args, table: _Table):
         [uid, grp, repr(float(s))]
         for uid, grp, s in zip(scores.unit_ids, scores.group, scores.mean_score)
     ]
-    return posterior, ate, report, plot_rows, {"matches.csv": match.to_csv}
+    matches = "treated_id,control_id,distance\n" + "".join(
+        f"{tid},{cid},{dist!r}\n" for tid, cid, dist in match.pairs)
+    return posterior, ate, report, plot_rows, {"matches.csv": matches}
+
+
+def _panel_rows(panel: bdid.PanelDataset) -> list:
+    """A panel as `_fit_bdid` reads it, in long format: unit_id, group,
+    period, y; every pre row, then every post row."""
+    return [["unit_id", "group", "period", "y"]] + [
+        [uid, _GROUPS[ti], period, repr(yi)]
+        for period, ys in (("pre", panel.y_pre), ("post", panel.y_post))
+        for uid, ti, yi in zip(panel.unit_ids.tolist(), panel.treated.tolist(), ys.tolist())
+    ]
 
 
 def _fit_bdid(args, table: _Table):
@@ -272,6 +306,15 @@ def _fit_bdid(args, table: _Table):
     return posterior, ate, report, plot_rows, {}
 
 
+def _rdd_rows(data: brdd.RddDataset) -> list:
+    """A discontinuity study as `_fit_brdd` reads it: unit_id (the row
+    index), x, y and z when given."""
+    cols = [data.assignment, data.y] + ([data.z] if data.z is not None else [])
+    return [["unit_id", "x", "y", "z"][:len(cols) + 1]] + [
+        [i, *map(repr, row)] for i, row in enumerate(zip(*(c.tolist() for c in cols)))
+    ]
+
+
 def _fit_brdd(args, table: _Table):
     x = table.floats(args.assignment_col)
     y = table.floats(args.target)
@@ -310,33 +353,34 @@ _DESIGNS = {"bpsm": _fit_bpsm, "bdid": _fit_bdid, "brdd": _fit_brdd}
 
 
 def _cmd_fit(args) -> int:
-    posterior, ate, report, plot_rows, extra_artifacts = _DESIGNS[args.command](
+    posterior, ate, report, plot_rows, extra_files = _DESIGNS[args.command](
         args, _Table(args.data))
-    os.makedirs(args.out, exist_ok=True)
-    posterior.to_csv(os.path.join(args.out, "draws.csv"))
-    for name, write in extra_artifacts.items():
-        write(os.path.join(args.out, name))
-    _write_json(os.path.join(args.out, "report.json"),
-                {**report, "sampler_warnings": posterior.warnings})
-    with open(os.path.join(args.out, "plot_data.csv"), "w", newline="") as fh:
-        csv.writer(fh).writerows(plot_rows)
+    draws = io.StringIO()  # one row per chain-iteration, one column per parameter
+    np.savetxt(draws, posterior.draws.reshape(-1, len(posterior.param_names)),
+               delimiter=",", header=",".join(posterior.param_names), comments="")
     posterior_summary = summarize(posterior)
-    _write_json(os.path.join(args.out, "summary.json"), {
-        "subcommand": args.command,
-        "seed": args.seed,
-        "converged": _converged(posterior_summary),
-        "ate": ate.to_dict(),
-        "posterior": posterior_summary,
-        "sampler": [dataclasses.asdict(stats) for stats in posterior.chain_stats],
+    _write(args.out, {
+        "draws.csv": draws.getvalue(),
+        **extra_files,
+        "report.json": _json({**report, "sampler_warnings": posterior.warnings}),
+        "plot_data.csv": _csv(plot_rows),
+        "summary.json": _json({
+            "subcommand": args.command,
+            "seed": args.seed,
+            "converged": _converged(posterior_summary),
+            "ate": ate.to_dict(),
+            "posterior": posterior_summary,
+            "sampler": [dataclasses.asdict(stats) for stats in posterior.chain_stats],
+        }),
     })
     return 0
 
 
-# scenario -> (simulate function, CSV writer, file name)
+# scenario -> (simulate function, row builder, CSV stem)
 _SCENARIOS = {
-    "confounded_psm": (simulate.simulate_confounded, simulate.write_design_csv, "units.csv"),
-    "seasonal_did": (simulate.simulate_seasonal_panel, simulate.write_panel_csv, "panel.csv"),
-    "cutoff_rdd": (simulate.simulate_discontinuity, simulate.write_rdd_csv, "rdd.csv"),
+    "confounded_psm": (simulate.simulate_confounded, _units_rows, "units"),
+    "seasonal_did": (simulate.simulate_seasonal_panel, _panel_rows, "panel"),
+    "cutoff_rdd": (simulate.simulate_discontinuity, _rdd_rows, "rdd"),
 }
 
 
@@ -352,11 +396,10 @@ def _cmd_simulate(args) -> int:
         noise_sd=args.noise_sd,
         seed=args.seed,
     )
-    simulate_fn, write_csv, file_name = _SCENARIOS[args.scenario]
+    simulate_fn, rows, stem = _SCENARIOS[args.scenario]
     data, truth = simulate_fn(spec)
-    os.makedirs(args.out, exist_ok=True)
-    write_csv(data, os.path.join(args.out, file_name))
-    _write_json(os.path.join(args.out, "truth.json"), {"scenario": args.scenario, **truth})
+    _write(args.out, {f"{stem}.csv": _csv(rows(data)),
+                      f"{stem}_truth.json": _json({"scenario": args.scenario, **truth})})
     return 0
 
 

@@ -155,12 +155,6 @@ class PosteriorSamples:
         idx = self.param_names.index(name)
         return self.draws[:, :, idx].reshape(-1)
 
-    def to_csv(self, path) -> None:
-        """One row per chain-iteration, one column per parameter."""
-        flat = self.draws.reshape(-1, self.draws.shape[2])
-        header = ",".join(self.param_names)
-        np.savetxt(path, flat, delimiter=",", header=header, comments="")
-
 
 def leapfrog(q, p, grad, step, evaluate):
     """One leapfrog step from (q, p) with ``grad`` the gradient at q:

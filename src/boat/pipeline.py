@@ -192,6 +192,9 @@ class DesignMatrix:
         self.X = np.asarray(self.X, dtype=float)
         self.t = np.asarray(self.t)
         self.y = np.asarray(self.y, dtype=float)
+        rows = {name: len(getattr(self, name)) for name in ("unit_ids", "X", "t", "y")}
+        if len(set(rows.values())) > 1:
+            raise ContractError(f"columns differ in length: {rows}")
         for i, name in enumerate(self.covariate_names):
             if name in self.covariate_names[:i]:
                 raise ContractError(f"covariate_names: {name!r} appears more than once")

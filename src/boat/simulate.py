@@ -10,7 +10,6 @@ form.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -26,9 +25,6 @@ __all__ = [
     "simulate_confounded",
     "simulate_seasonal_panel",
     "simulate_discontinuity",
-    "write_design_csv",
-    "write_panel_csv",
-    "write_rdd_csv",
 ]
 
 N_COVARIATES = 2  # confounded_psm's covariates x1, x2, ...
@@ -147,48 +143,3 @@ def simulate_discontinuity(spec: ScenarioSpec) -> tuple[RddDataset, dict]:
     truth = {"true_ate": spec.true_ate}
     return data, truth
 
-
-def write_design_csv(data: DesignMatrix, path) -> None:
-    """Unit-level CSV: unit_id, group, y, covariates."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "group", "y"] + data.covariate_names)
-        for i in range(len(data.unit_ids)):
-            writer.writerow(
-                [
-                    data.unit_ids[i],
-                    "treatment" if data.t[i] else "control",
-                    repr(float(data.y[i])),
-                ]
-                + [repr(float(v)) for v in data.X[i]]
-            )
-
-
-def write_panel_csv(panel: PanelDataset, path) -> None:
-    """Long-format CSV: unit_id, group, period (pre/post), y."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "group", "period", "y"])
-        for period, ys in (("pre", panel.y_pre), ("post", panel.y_post)):
-            for i in range(len(panel.unit_ids)):
-                writer.writerow(
-                    [
-                        panel.unit_ids[i],
-                        "treatment" if panel.treated[i] else "control",
-                        period,
-                        repr(float(ys[i])),
-                    ]
-                )
-
-
-def write_rdd_csv(data: RddDataset, path) -> None:
-    """CSV: unit_id (the row index), assignment x, y, z."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        cols = ["unit_id", "x", "y"] + (["z"] if data.z is not None else [])
-        writer.writerow(cols)
-        for i in range(len(data.y)):
-            row = [i, repr(float(data.assignment[i])), repr(float(data.y[i]))]
-            if data.z is not None:
-                row.append(repr(float(data.z[i])))
-            writer.writerow(row)

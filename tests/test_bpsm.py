@@ -15,6 +15,7 @@ from boat.bpsm import (
     positivity_check,
     propensity_scores,
 )
+from boat.cli import main
 from boat.effects import Z_94, from_draws, naive_ate
 from boat.errors import ContractError, EstimationError, PositivityError
 from boat.nuts import PosteriorSamples, SamplerConfig
@@ -424,10 +425,29 @@ def test_from_draws_keeps_a_skewed_posterior_mean():
 
 
 class TestMatchExport:
-    def test_csv(self, tmp_path):
-        match = MatchResult(pairs=[(0, 1, 0.25)], unmatched_treated=[], method="nn_1to1")
-        path = tmp_path / "matches.csv"
-        match.to_csv(path)
-        lines = path.read_text().splitlines()
+    def test_csv(self, tmp_path, monkeypatch):
+        # the matches.csv of `boat bpsm`: a pair's ids as read, then the
+        # distance's repr, which reads back exactly; the first distance is
+        # set to 0.25 to pin the line format
+        matches = []
+
+        def match_with_a_round_distance(scores):
+            match = nn_match_1to1(scores)
+            match.pairs[0] = (*match.pairs[0][:2], 0.25)
+            matches.append(match)
+            return match
+
+        monkeypatch.setattr(bpsm, "nn_match_1to1", match_with_a_round_distance)
+        sim, out = tmp_path / "sim", tmp_path / "run"
+        assert main(["simulate", "--scenario", "confounded_psm", "--n-control", "30",
+                     "--n-treated", "10", "--out", str(sim)]) == 0
+        assert main(["bpsm", "--data", str(sim / "units.csv"), "--covariates", "x1,x2",
+                     "--match", "nn", "--draws", "40", "--warmup", "10",
+                     "--out", str(out)]) == 0
+        (match,) = matches
+        lines = (out / "matches.csv").read_text().splitlines()
         assert lines[0] == "treated_id,control_id,distance"
-        assert lines[1] == "0,1,0.25"
+        tid, cid, _ = match.pairs[0]
+        assert lines[1] == f"{tid},{cid},0.25"
+        assert lines[1:] == [f"{t},{c},{d!r}" for t, c, d in match.pairs]
+        assert [float(line.split(",")[2]) for line in lines[1:]] == [d for _, _, d in match.pairs]

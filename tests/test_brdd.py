@@ -111,6 +111,20 @@ class TestFitRdd:
         with pytest.raises(EstimationError):
             fit_rdd(RddDataset(assignment=[59.0, 61.0], y=[1.0, 1.0], cutoff=60.0))
 
+    @pytest.mark.parametrize("column, message", [
+        ("assignment", "assignment variable's spread around the cutoff overflows"),
+        ("y", "target variable's range overflows"),
+    ], ids=["assignment", "y"])
+    def test_overflowing_scale_rejected(self, column, message):
+        # finite cells whose std or range overflows would scale every
+        # regressor or outcome to 0 (or NaN): no fit is run on them
+        d = make_data(seed=4, n=40)
+        cells = {"assignment": d.assignment.copy(), "y": d.y.copy()}
+        cells[column][:2] = (-1e308, 1e308) if column == "y" else (1e308, 1e308)
+        data = RddDataset(assignment=cells["assignment"], y=cells["y"], cutoff=d.cutoff)
+        with pytest.raises(EstimationError, match=f"^{message}$"):
+            fit_rdd(data, cfg=FAST)
+
     def test_default_priors(self):
         p = default_rdd_priors()
         assert p.alpha_scale == 1.0

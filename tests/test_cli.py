@@ -108,11 +108,20 @@ class TestSimulateCommand:
         code = main(["simulate", "--scenario", "confounded_psm", "--seed", "3",
                      "--out", str(out)])
         assert code == 0
-        assert sorted(p.name for p in out.iterdir()) == ["truth.json", "units.csv"]
-        truth = json.loads((out / "truth.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == ["units.csv", "units_truth.json"]
+        truth = json.loads((out / "units_truth.json").read_text())
         assert truth["schema"] == "boat/1"
         assert truth["true_ate"] == -0.3
         assert len(truth["true_propensity"]) == 240
+
+    def test_two_scenarios_keep_both_truths(self, tmp_path):
+        out = tmp_path / "sim"
+        for scenario in ("confounded_psm", "seasonal_did"):
+            assert main(["simulate", "--scenario", scenario, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "panel.csv", "panel_truth.json", "units.csv", "units_truth.json"]
+        assert json.loads((out / "units_truth.json").read_text())["scenario"] == "confounded_psm"
+        assert json.loads((out / "panel_truth.json").read_text())["scenario"] == "seasonal_did"
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -559,6 +568,28 @@ class TestFitCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SchemaError"
         assert err["message"] == f"{path}: no data rows"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["huge-y", "nan-in-report"])
+    def test_failure_while_rendering_leaves_no_out(self, tmp_path, capsys, monkeypatch, case):
+        # the fit succeeds; a value strict JSON cannot hold then fails the run
+        # before any file is written
+        with open(TestBpsmCommand().make_data(tmp_path), newline="") as fh:
+            rows = list(csv.reader(fh))
+        if case == "huge-y":
+            rows[1][rows[0].index("y")] = "1e308"
+        else:
+            monkeypatch.setattr(bpsm, "balance_report", lambda *args: {"x1": float("nan")})
+        path = tmp_path / "units.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "o"
+        code = main(["bpsm", "--data", str(path), "--covariates", "x1,x2", "--match", "nn",
+                     "--draws", "40", "--warmup", "10", "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("Out of range float values are not JSON compliant")
         assert not out.exists()
 
     def test_parser_flags_and_defaults(self):

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boat.nuts as nuts
+from boat import bdid
 from boat.bdid import PanelDataset, fit_did
+from boat.cli import main
 from boat.errors import ContractError
 from boat.nuts import (
     BASE_WINDOW,
@@ -673,15 +675,22 @@ class TestSummarize:
 
 
 class TestExport:
-    def test_draws_csv_round_trip(self, tmp_path):
-        cfg = SamplerConfig(draws=50, warmup=10, chains=2, seed=9)
-        out = sample(STD_GAUSSIAN_2D, None, cfg=cfg)
-        path = tmp_path / "draws.csv"
-        out.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "x1,x2"
+    def test_draws_csv_round_trip(self, tmp_path, monkeypatch):
+        # the draws.csv of `boat bdid`: one row per chain-iteration, chain by chain
+        fits = []
+        monkeypatch.setattr(bdid, "fit_did", lambda *args: fits.append(fit_did(*args)) or fits[0])
+        sim, out = tmp_path / "sim", tmp_path / "run"
+        assert main(["simulate", "--scenario", "seasonal_did", "--n-control", "20",
+                     "--n-treated", "20", "--out", str(sim)]) == 0
+        assert main(["bdid", "--data", str(sim / "panel.csv"), "--draws", "50",
+                     "--warmup", "10", "--chains", "2", "--seed", "9", "--out", str(out)]) == 0
+        (posterior,) = fits
+        path = out / "draws.csv"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "alpha,theta_treat,theta_period,theta_interaction,log_sigma"
+        assert len(lines) == 1 + 2 * 40  # --draws counts the warm-up
         loaded = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(loaded, out.draws.reshape(-1, 2), rtol=1e-6)
+        np.testing.assert_array_equal(loaded, posterior.draws.reshape(-1, 5))
 
     def test_summary_json(self):
         cfg = SamplerConfig(draws=50, warmup=10, chains=2, seed=9)

@@ -433,6 +433,18 @@ class TestDesignMatrixBoundary:
         with pytest.raises(SchemaError, match=r"^X column 1: non-finite value nan at row 1$"):
             DesignMatrix(**columns)
 
+    def test_row_counts_must_agree(self):
+        for field in ("unit_ids", "X", "t", "y"):
+            columns = self.columns()
+            columns[field] = columns[field][:3]
+            lengths = {name: 3 if name == field else 4 for name in ("unit_ids", "X", "t", "y")}
+            with pytest.raises(ContractError) as err:
+                DesignMatrix(**columns)
+            assert str(err.value) == f"columns differ in length: {lengths}"
+        # no rows at all: build_design's X is then 1-D of size 0
+        dm = build_design([])
+        assert dm.X.shape == (0,) and len(dm.unit_ids) == len(dm.t) == len(dm.y) == 0
+
     def test_repeated_covariate_name_rejected(self):
         columns = self.columns()
         columns["X"], columns["covariate_names"] = np.zeros((4, 3)), ["a", "b", "a"]

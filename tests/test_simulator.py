@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from boat import simulate
-from boat.cli import build_parser
+from boat.cli import build_parser, main
 from boat.effects import naive_ate
 from boat.simulate import (
     ScenarioSpec,
     simulate_confounded,
     simulate_discontinuity,
     simulate_seasonal_panel,
-    write_design_csv,
-    write_panel_csv,
-    write_rdd_csv,
 )
 
 
@@ -161,11 +158,17 @@ class TestDiscontinuity:
 
 
 class TestCsvWriters:
+    """The CSV `boat simulate` writes holds its scenario's data exactly; the
+    command's defaults are ScenarioSpec's."""
+
+    def simulated_lines(self, tmp_path, scenario, name):
+        argv = ["simulate", "--scenario", scenario, "--seed", "1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        return (tmp_path / name).read_text().splitlines()
+
     def test_design_round_trip(self, tmp_path):
         data, _ = simulate_confounded(ScenarioSpec(seed=1))
-        path = tmp_path / "units.csv"
-        write_design_csv(data, path)
-        lines = path.read_text().splitlines()
+        lines = self.simulated_lines(tmp_path, "confounded_psm", "units.csv")
         assert lines[0] == "unit_id,group,y,x1,x2"
         assert len(lines) == 1 + len(data.y)
         parts = lines[1].split(",")
@@ -174,9 +177,7 @@ class TestCsvWriters:
 
     def test_panel_long_format(self, tmp_path):
         panel, _ = simulate_seasonal_panel(ScenarioSpec(seed=1))
-        path = tmp_path / "panel.csv"
-        write_panel_csv(panel, path)
-        lines = path.read_text().splitlines()
+        lines = self.simulated_lines(tmp_path, "seasonal_did", "panel.csv")
         assert lines[0] == "unit_id,group,period,y"
         assert len(lines) == 1 + 2 * len(panel.unit_ids)
         n = len(panel.unit_ids)
@@ -185,9 +186,7 @@ class TestCsvWriters:
 
     def test_rdd_exact_floats(self, tmp_path):
         data, _ = simulate_discontinuity(ScenarioSpec(seed=1))
-        path = tmp_path / "rdd.csv"
-        write_rdd_csv(data, path)
-        lines = path.read_text().splitlines()
+        lines = self.simulated_lines(tmp_path, "cutoff_rdd", "rdd.csv")
         assert lines[0] == "unit_id,x,y,z"
         xs = np.array([float(l.split(",")[1]) for l in lines[1:]])
         np.testing.assert_array_equal(xs, data.assignment)

@@ -5,9 +5,9 @@ Each line is ``name sha256``, one for:
 - the draws of ``fit_propensity``, ``fit_did`` and ``fit_rdd`` at seeds 1-3;
 - the draws of four bare ``Target``s: a correlated Gaussian, a quartic, a
   density that is -inf on part of its domain, and Neal's funnel;
-- every file ``boat simulate`` writes for each scenario (its CSV and
-  ``truth.json``) and every file a fixed list of ``boat`` commands writes
-  to ``--out`` from those CSVs, at seeds 1-2.
+- every file ``boat simulate`` writes for each scenario (its CSV and its
+  ``<stem>_truth.json``) and every file a fixed list of ``boat`` commands
+  writes to ``--out`` from those CSVs, at seeds 1-2.
 
 Run it on two checkouts and compare the outputs:
 
@@ -86,8 +86,8 @@ def targets():
         emit(f"target/{name}", sample(target, None, cfg=cfg(1)).draws.tobytes())
 
 
-# scenario -> the CSV that `boat simulate` writes for it
-SIMULATED = {"confounded_psm": "units.csv", "seasonal_did": "panel.csv", "cutoff_rdd": "rdd.csv"}
+# scenario -> the stem of the CSV and truth files `boat simulate` writes for it
+SIMULATED = {"confounded_psm": "units", "seasonal_did": "panel", "cutoff_rdd": "rdd"}
 
 
 def commands(sim: Path):
@@ -106,11 +106,11 @@ def commands(sim: Path):
 def cli(tmp: Path):
     for seed in (1, 2):
         sim = tmp / f"sim{seed}"
-        for scenario, csv_name in SIMULATED.items():
+        for scenario, stem in SIMULATED.items():
             argv = ["simulate", "--scenario", scenario, "--seed", str(seed), "--out", str(sim)]
             if main(argv) != 0:
                 sys.exit(f"simulate {scenario} at seed {seed} failed")
-            for name in (csv_name, "truth.json"):  # truth.json is rewritten by each scenario
+            for name in (f"{stem}.csv", f"{stem}_truth.json"):
                 emit(f"cli/simulate/{scenario}/seed{seed}/{name}", (sim / name).read_bytes())
         for name, argv in commands(sim).items():
             out = tmp / f"{name}-{seed}"
