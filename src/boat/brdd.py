@@ -62,6 +62,13 @@ class RddDataset:
     def t(self) -> np.ndarray:
         return (self.assignment >= self.cutoff).astype(int)
 
+    def check_both_sides(self) -> None:
+        """EstimationError unless observations lie on both sides of the cutoff."""
+        if self.t.all() or not self.t.any():
+            raise EstimationError(
+                "all observations fall on one side of the cutoff; effect not identified"
+            )
+
     def filtered(self, mask) -> "RddDataset":
         mask = np.asarray(mask, dtype=bool)
         return RddDataset(
@@ -90,11 +97,8 @@ def fit_rdd(
     The returned draws are transformed back to the raw coordinates;
     ``chain_stats`` stays in the scaled coordinates.
     """
+    data.check_both_sides()
     t = data.t
-    if not np.any(t == 1) or not np.any(t == 0):
-        raise EstimationError(
-            "all observations fall on one side of the cutoff; effect not identified"
-        )
     xc = data.assignment - data.cutoff
     with np.errstate(over="ignore"):  # an overflow is rejected below
         x_scale = float(np.std(xc))

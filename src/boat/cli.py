@@ -326,6 +326,7 @@ def _fit_brdd(args, table: _Table):
         data = data.filtered(_parse_z_filter(args.z_filter, args.z_col)(data.z))
         if not len(data.y):
             raise SchemaError(f"--z-filter {args.z_filter!r} keeps no rows")
+    data.check_both_sides()  # the data's defect, before the bandwidth it would trip
     bandwidth = args.bandwidth
     if bandwidth is None:
         bandwidth = 0.1 * (data.assignment.max() - data.assignment.min())

@@ -16,12 +16,13 @@ field, and no per-row object is built.
 ``_BLOCK_ROWS`` rows, so only one block's cells are held as strings at a
 time. A row with more cells than the header, or too few to reach every
 required column, is rejected before any cell is read. The rest of the
-block is transposed once, and each column is converted by one mapped
-call (``float``, ``int``, ``datetime.fromisoformat``). Only a column
-whose mapped call raises is converted again cell by cell, to find the
-rows that fail and the error text. The row checks run as masks in a
-fixed order, and a rejected row keeps the reason of the first check it
-fails.
+block is transposed once. Each column type has one parser, a function of
+one cell (``float``, ``int``, ``datetime.fromisoformat`` and two small
+ones for blank-or-float and boolean cells). It is mapped over the whole
+column, and only a column where it raises is parsed again cell by cell,
+to find the rows that fail and the error text. The row checks run as
+masks in a fixed order, and a rejected row keeps the reason of the first
+check it fails.
 
 ``aggregate_to_vehicle`` numbers the vehicles in sorted id order and sums
 each covariate with ``np.bincount``. That adds each vehicle's values one
@@ -211,40 +212,8 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-def _bools(cells) -> np.ndarray:
-    return np.fromiter(map(_BOOLS.__getitem__, map(str.lower, map(str.strip, cells))),
-                       bool, len(cells))
-
-
-def _floats(cells) -> np.ndarray:
-    return np.fromiter(map(float, cells), float, len(cells))
-
-
 def _optional_float(cell: str) -> float:
     return float(cell) if cell.strip() else np.nan
-
-
-def _optional_floats(cells) -> np.ndarray:
-    stripped = list(map(str.strip, cells))
-    out = np.full(len(cells), np.nan)
-    out[np.fromiter(map(bool, stripped), bool, len(cells))] = _floats(
-        list(compress(stripped, stripped)))
-    return out
-
-
-def _int64(cell: str) -> int:
-    value = int(cell)
-    if not -2**63 <= value < 2**63:
-        raise ValueError(f"integer beyond the int64 range: {cell!r}")
-    return value
-
-
-def _ints(cells) -> np.ndarray:
-    return np.fromiter(map(int, cells), np.int64, len(cells))
-
-
-def _datetimes(cells) -> list[datetime]:
-    return list(map(datetime.fromisoformat, cells))
 
 
 def _stamps(stamps) -> tuple[np.ndarray, np.ndarray]:
@@ -282,14 +251,15 @@ class _Block:
         for i in np.flatnonzero(mask).tolist():
             self.reasons.setdefault(i, reason)
 
-    def convert(self, name, column, cell, fill=np.nan, dtype=float):
-        """Column `name` converted by `column`, a call on all its cells. If
-        that raises, `cell` converts each cell; a cell it raises on rejects
-        its row with the error's text and takes `fill`."""
+    def convert(self, name, cell=float, fill=np.nan, dtype=float):
+        """Column `name` parsed by `cell`, one call per cell mapped over the
+        column. Only if that raises is `cell` run again cell by cell: a cell
+        it raises on, or whose value `dtype` cannot hold, rejects its row
+        with the error's text and takes `fill`."""
         cells = self.cells[name]
         try:
-            return column(cells)
-        except (ValueError, KeyError, OverflowError):
+            return np.fromiter(map(cell, cells), dtype, self.n)
+        except (ValueError, OverflowError):
             pass
         out = np.full(self.n, fill, dtype)
         for i, c in enumerate(cells):
@@ -297,20 +267,19 @@ class _Block:
                 out[i] = cell(c)
             except ValueError as exc:
                 self.reasons.setdefault(i, str(exc))
+            except OverflowError:
+                self.reasons.setdefault(i, f"integer beyond the int64 range: {c!r}")
         return out
-
-    def floats(self, name) -> np.ndarray:
-        return self.convert(name, _floats, float)
 
     def optional_floats(self, name) -> tuple[np.ndarray, np.ndarray]:
         """Column `name` as floats, NaN where the cell is blank, and the mask
         of the cells that are not blank."""
         given = np.fromiter(map(bool, map(str.strip, self.cells[name])), bool, self.n)
-        return self.convert(name, _optional_floats, _optional_float), given
+        return self.convert(name, _optional_float), given
 
     def stamps(self, name) -> tuple[np.ndarray, np.ndarray]:
-        return _stamps(self.convert(name, _datetimes, datetime.fromisoformat,
-                                    datetime(1970, 1, 1), object))
+        return _stamps(self.convert(name, datetime.fromisoformat,
+                                    datetime(1970, 1, 1), object).tolist())
 
     def texts(self, name, strip=True) -> np.ndarray:
         # interned: a column repeats few distinct values, and the table
@@ -332,28 +301,28 @@ def _parse_rows(rows: list[list[str]], header: list[str]) -> tuple[dict, dict[in
            "can't compare offset-naive and offset-aware datetimes")
     span_us = (_utc(end, end_offset) - _utc(start, start_offset)).astype(np.int64)
     b.fail(span_us <= 0, "end_time must be after start_time")
-    duration = b.floats("duration_h")
+    duration = b.convert("duration_h")
     b.fail(duration <= 0, "duration_h must be > 0")
     b.fail(np.abs(span_us / 1e6 - duration * 3600.0) > 1.0,
            "duration_h inconsistent with timestamps (> 1 s off)")
     fuel, has_fuel = b.optional_floats("fuel_g")
     energy, has_energy = b.optional_floats("energy_wh")
     b.fail(~has_fuel & ~has_energy, "one of fuel_g / energy_wh is required")
-    soc_start = b.floats("soc_start_pct")
-    soc_end = b.floats("soc_end_pct")
+    soc_start = b.convert("soc_start_pct")
+    soc_end = b.convert("soc_end_pct")
     b.fail(~((0 <= soc_start) & (soc_start <= 100) & (0 <= soc_end) & (soc_end <= 100)),
            "state of charge must be in [0, 100]")
-    distance = b.floats("distance_km")
-    odometer = b.floats("odometer_km")
-    max_speed = b.floats("max_speed_kmh")
-    engine_starts = b.convert("engine_starts", _ints, _int64, 0, np.int64)
+    distance = b.convert("distance_km")
+    odometer = b.convert("odometer_km")
+    max_speed = b.convert("max_speed_kmh")
+    engine_starts = b.convert("engine_starts", int, 0, np.int64)
     for name, value in (("distance_km", distance), ("odometer_km", odometer),
                         ("max_speed_kmh", max_speed), ("engine_starts", engine_starts)):
         b.fail(value < 0, f"negative value in a non-negative field: {name}")
     for name, value in (("fuel_g", fuel), ("energy_wh", energy)):
         b.fail(value < 0, f"negative fuel/energy: {name}")
-    ambient_temp = b.floats("ambient_temp_c")
-    trailer = b.convert("trailer", _bools, _parse_bool, False, bool)
+    ambient_temp = b.convert("ambient_temp_c")
+    trailer = b.convert("trailer", _parse_bool, False, bool)
     # after every other check, so a row those reject keeps its reason
     for name, value, given in (
         ("distance_km", distance, True),

@@ -70,7 +70,8 @@ __all__ = [
     "log_posterior_grad",
 ]
 
-# Likelihood probabilities are clamped into this range before taking logs.
+# Propensity scores are clipped into [PROB_FLOOR, 1 - PROB_FLOOR]
+# (bpsm.propensity_scores); no likelihood here clips its probabilities.
 PROB_FLOOR = 1e-12
 
 

@@ -443,6 +443,36 @@ class TestBrddCommand:
         assert fits == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("x, flags", [
+        ("50", []),
+        ("70", []),
+        ("50", ["--bandwidth", "5"]),
+        (None, ["--z-col", "z", "--z-filter", "z>={top}"]),
+    ], ids=["left", "right", "left-bandwidth", "z-filter-keeps-one"])
+    def test_one_sided_data_errors_before_the_bandwidth(self, tmp_path, capsys, monkeypatch,
+                                                        x, flags):
+        # the default bandwidth of one x value is 0, and a window away from
+        # it holds no rows: neither is the defect, which is the data's
+        data = self.make_data(tmp_path)
+        header, *rows = [line.split(",") for line in data.read_text().splitlines()]
+        if x is not None:
+            for row in rows:
+                row[1] = x
+            data.write_text("\n".join(map(",".join, [header, *rows])) + "\n")
+        top = max(rows, key=lambda row: float(row[3]))[3]
+        out = tmp_path / "o"
+        fits = []
+        monkeypatch.setattr(brdd, "fit_rdd", lambda *args: fits.append(args))
+        code = main(["brdd", "--data", str(data), *(f.format(top=top) for f in flags),
+                     "--out", str(out), *FAST])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "EstimationError"
+        assert err["message"] == ("all observations fall on one side of the cutoff; "
+                                  "effect not identified")
+        assert fits == []
+        assert not out.exists()
+
     def test_z_filter_without_z_col(self, tmp_path, capsys):
         data = self.make_data(tmp_path)
         code = main(["brdd", "--data", str(data), "--z-filter", "z>0.5",

@@ -190,11 +190,12 @@ class TestIngest:
         trips, rejects = ingest_trips(source)
         assert len(trips) == 2 and rejects == []
 
-    def test_engine_starts_beyond_int64_rejected(self):
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1], ids=["above", "below"])
+    def test_engine_starts_beyond_int64_rejected(self, value):
         cells = FIVE_TRIPS[0].split(",")
-        cells[TRIPS_CSV_COLUMNS.index("engine_starts")] = str(2**63)
+        cells[TRIPS_CSV_COLUMNS.index("engine_starts")] = str(value)
         _, rejects = ingest_trips(csv_source([",".join(cells)]))
-        assert rejects[0]["reason"] == f"integer beyond the int64 range: '{2**63}'"
+        assert rejects[0]["reason"] == f"integer beyond the int64 range: '{value}'"
 
     def test_duration_within_one_second_tolerated(self):
         row = "v1,2024-03-04T08:00:00,2024-03-04T09:00:00,50,1.0002,4000,,90,15,10,2,0,hybrid,1000,100,treatment"

@@ -7,7 +7,11 @@ Each line is ``name sha256``, one for:
   density that is -inf on part of its domain, and Neal's funnel;
 - every file ``boat simulate`` writes for each scenario (its CSV and its
   ``<stem>_truth.json``) and every file a fixed list of ``boat`` commands
-  writes to ``--out`` from those CSVs, at seeds 1-2.
+  writes to ``--out`` from those CSVs, at seeds 1-2;
+- the trip pipeline on a seeded trips CSV with a cell on every parser's
+  failure path: the TripTable columns, the rejects, the discards, the
+  vehicle aggregates and ``build_design``'s X, t and y for both target
+  specs, read in blocks of the default size and of 7 rows.
 
 Run it on two checkouts and compare the outputs:
 
@@ -16,13 +20,17 @@ Run it on two checkouts and compare the outputs:
 """
 
 import hashlib
+import io
+import json
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from boat import simulate
+from boat import pipeline, simulate
 from boat.bdid import fit_did
 from boat.bpsm import fit_propensity
 from boat.brdd import fit_rdd
@@ -121,8 +129,87 @@ def cli(tmp: Path):
                 emit(f"cli/{name}/seed{seed}/{path.name}", path.read_bytes())
 
 
+def trips_csv() -> str:
+    """A trips CSV drawn from a seeded RNG: 300 trips of 30 vehicles, naive
+    and aware stamps, blank fuel or energy cells, and planted rows that
+    reach every parser's failure path and both filters."""
+    rng = np.random.default_rng(22)
+    n = 300
+    vehicle = rng.integers(0, 30, n)
+    start = (np.datetime64("2024-03-01T00:00:00")
+             + rng.integers(0, 28 * 86400, n).astype("timedelta64[s]"))
+    minutes = rng.integers(5, 180, n)
+    end = start + (minutes * 60).astype("timedelta64[s]")
+    speed = rng.uniform(20.0, 110.0, n)
+    mode = rng.choice(["hybrid", "electric", "combustion"], n)
+    soc_start = rng.uniform(10.0, 100.0, n)
+    soc_end = rng.uniform(0.0, 1.0, n) * soc_start
+    trailer = rng.choice(["0", "1", "true", "false", "yes", "no", "", " Yes "], n)
+    rows = []
+    for i in range(n):
+        hours = minutes[i] / 60
+        distance = speed[i] * hours
+        fuel = "" if mode[i] == "electric" else f"{distance * rng.uniform(40, 90):.1f}"
+        energy = "" if mode[i] == "combustion" else f"{distance * rng.uniform(100, 200):.1f}"
+        offset = {3: "+01:00", 7: "-05:00"}.get(i % 10, "")
+        rows.append([
+            f"v{vehicle[i]:02d}", f"{start[i]}{offset}", f"{end[i]}{offset}",
+            f"{distance:.3f}", f"{hours:.6f}", fuel, energy,
+            f"{soc_start[i]:.1f}", f"{soc_end[i]:.1f}", f"{rng.uniform(-15, 30):.1f}",
+            str(rng.integers(0, 6)), trailer[i], mode[i],
+            f"{rng.uniform(200, 90000):.1f}", f"{speed[i] + rng.uniform(0, 40):.1f}",
+            "treatment" if vehicle[i] % 2 else "control",
+        ])
+    planted = {
+        5: {"trailer": "maybe"},
+        11: {"engine_starts": str(2**63)},
+        12: {"engine_starts": str(-2**63 - 1)},
+        13: {"engine_starts": "2.0"},
+        17: {"start_time": "2024-02-30T08:00:00"},
+        18: {"end_time": "not a time"},
+        23: {"fuel_g": "x"},
+        29: {"distance_km": "n/a"},
+        31: {"fuel_g": " ", "energy_wh": ""},
+        37: {"start_time": f"{start[37]}+01:00", "end_time": str(end[37])},
+        41: {"odometer_km": "50"},
+        43: {"distance_km": "5000"},
+    }
+    for i, cells in planted.items():
+        for name, value in cells.items():
+            rows[i][pipeline.TRIPS_CSV_COLUMNS.index(name)] = value
+    return "\n".join(map(",".join, [pipeline.TRIPS_CSV_COLUMNS, *rows])) + "\n"
+
+
+def column_bytes(values: np.ndarray) -> bytes:
+    if values.dtype == object:
+        return "\n".join(values.tolist()).encode()
+    return values.tobytes()
+
+
+def trips():
+    text = trips_csv()
+    for block_rows in (pipeline._BLOCK_ROWS, 7):
+        name = f"pipeline/block{block_rows}"
+        with mock.patch.object(pipeline, "_BLOCK_ROWS", block_rows):
+            table, rejects = pipeline.ingest_trips(io.StringIO(text))
+        for field in fields(table):
+            emit(f"{name}/table/{field.name}", column_bytes(getattr(table, field.name)))
+        emit(f"{name}/rejects", json.dumps(rejects).encode())
+        kept, discarded = pipeline.filter_trips(table)
+        emit(f"{name}/discarded", json.dumps(discarded).encode())
+        for spec in ("fuel_per_km", "energy_per_km"):
+            aggregates, excluded = pipeline.aggregate_to_vehicle(kept, spec)
+            emit(f"{name}/{spec}/aggregates", json.dumps(
+                [[a.vehicle_id, a.covariates, a.target, a.group] for a in aggregates]).encode())
+            emit(f"{name}/{spec}/excluded", json.dumps(excluded).encode())
+            design = pipeline.build_design(aggregates)
+            for part in ("X", "t", "y"):
+                emit(f"{name}/{spec}/design/{part}", getattr(design, part).tobytes())
+
+
 if __name__ == "__main__":
     fits()
     targets()
     with tempfile.TemporaryDirectory() as tmp:
         cli(Path(tmp))
+    trips()
