@@ -27,7 +27,7 @@ from .effects import ATEEstimate
 from .errors import ContractError, EstimationError, PositivityError
 from .nuts import PosteriorSamples, SamplerConfig, sample
 from .pipeline import DesignMatrix
-from .prob_core import PROB_FLOOR, ModelSpec, PriorSpec, sigmoid
+from .prob_core import PROB_FLOOR, ModelSpec, PriorSpec, param_names, sigmoid
 
 __all__ = [
     "PropensityScores",
@@ -61,10 +61,6 @@ class PropensityScores:
             raise ContractError("inconsistent lengths in PropensityScores")
         if not np.all((self.mean_score > 0) & (self.mean_score < 1)):  # NaN too
             raise ContractError("propensity scores must be strictly in (0, 1)")
-
-    @property
-    def group(self) -> np.ndarray:
-        return np.where(self.treated, "treatment", "control")
 
 
 @dataclass
@@ -107,7 +103,7 @@ def propensity_scores(
     seed: int = 0,
 ) -> PropensityScores:
     """Scores at the posterior-mean parameters, plus optional draw bands."""
-    names = ["alpha"] + [f"beta_{c}" for c in data.covariate_names]
+    names = param_names(ModelSpec("logistic"), data)
     if posterior.param_names != names:
         raise ContractError(
             f"posterior parameters {posterior.param_names} do not match "

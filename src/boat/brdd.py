@@ -69,15 +69,6 @@ class RddDataset:
                 "all observations fall on one side of the cutoff; effect not identified"
             )
 
-    def filtered(self, mask) -> "RddDataset":
-        mask = np.asarray(mask, dtype=bool)
-        return RddDataset(
-            assignment=self.assignment[mask],
-            y=self.y[mask],
-            cutoff=self.cutoff,
-            z=self.z[mask] if self.z is not None else None,
-        )
-
 
 def default_rdd_priors() -> PriorSpec:
     return PriorSpec(alpha_scale=1.0, beta_scale=0.5)

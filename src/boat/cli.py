@@ -7,17 +7,21 @@ it writes to text in memory first (`_json`, `_csv`); then `_write` creates
 its input, fitting or rendering, leaves no --out directory.
 
 `boat bpsm`, `boat bdid` and `boat brdd` share one command function,
-`_cmd_fit`. It reads --data through one reader, `_Table`, and hands it to the
-design's function, which returns (posterior, ate, report, plot_rows,
-extra_files): the report's assumption checks, the plot_data.csv rows
-(header first) and {file name: text} for design-only files (matches.csv for
-bpsm). `_cmd_fit` writes draws.csv, the extra files, report.json,
-plot_data.csv and summary.json (posterior summaries, R-hat, effect estimate,
-per-chain sampler statistics) into --out and nothing else. `boat simulate`
-writes one scenario's CSV in the layout its design's reader reads (each row
-builder sits next to that reader) and its truth beside it, as units.csv and
-units_truth.json, say. Failures exit nonzero with an error JSON on stderr.
-All JSON outputs carry "schema": "boat/1".
+`_cmd_fit`. It reads --data through one reader, `_Table`, builds the fit's
+`PriorSpec` and `SamplerConfig` once and hands all three to the design's
+function, which returns (posterior, ate, report, plot_rows, extra_files):
+the report's assumption checks, the plot_data.csv rows (header first) and
+{file name: text} for design-only files (matches.csv for bpsm). `_cmd_fit`
+writes draws.csv, the extra files, report.json, plot_data.csv and
+summary.json (posterior summaries, R-hat, effect estimate, per-chain sampler
+statistics) into --out and nothing else. `boat simulate` writes one
+scenario's CSV in the layout its design's reader reads (each row builder
+sits next to that reader) and its truth beside it, as units.csv and
+units_truth.json, say. The fit and simulate flags are the fields of
+`SamplerConfig`, `PriorSpec` and `ScenarioSpec` with their defaults
+(`_add_fields`), except --draws 3000 and `boat brdd`'s prior scales,
+`brdd.default_rdd_priors()`. Failures exit nonzero with an error JSON on
+stderr. All JSON outputs carry "schema": "boat/1".
 """
 
 from __future__ import annotations
@@ -151,11 +155,6 @@ def _parse_z_filter(expr: str, z_col: str):
     return lambda v: compare(v, float(thresh))
 
 
-def _sampler_config(args) -> SamplerConfig:
-    return SamplerConfig(draws=args.draws, warmup=args.warmup, chains=args.chains,
-                         seed=args.seed)
-
-
 def _json(payload) -> str:
     """Strict JSON: a NaN or an infinity raises ValueError."""
     return json.dumps({"schema": SCHEMA, **payload}, indent=2, default=np.ndarray.tolist,
@@ -196,7 +195,7 @@ def _units_rows(data: DesignMatrix) -> list:
     ]
 
 
-def _fit_bpsm(args, table: _Table):
+def _fit_bpsm(args, table: _Table, priors: PriorSpec, cfg: SamplerConfig):
     if args.match == "caliper":
         bpsm.check_caliper(args.caliper)  # before the fit, which takes most of a run
     covariates = args.covariates.split(",")
@@ -212,8 +211,7 @@ def _fit_bpsm(args, table: _Table):
     X = min_max_scale(X, covariates)
     data = DesignMatrix(unit_ids=unit_ids, X=X, t=t, y=y, covariate_names=covariates)
 
-    priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scale=args.beta_scale)
-    posterior = bpsm.fit_propensity(data, priors, _sampler_config(args))
+    posterior = bpsm.fit_propensity(data, priors, cfg)
     scores = bpsm.propensity_scores(posterior, data)
     if args.match == "nn":
         match = bpsm.nn_match_1to1(scores)
@@ -230,8 +228,8 @@ def _fit_bpsm(args, table: _Table):
         "n_unmatched_treated": len(match.unmatched_treated),
     }
     plot_rows = [["unit_id", "group", "propensity_score"]] + [
-        [uid, grp, repr(float(s))]
-        for uid, grp, s in zip(scores.unit_ids, scores.group, scores.mean_score)
+        [uid, _GROUPS[ti], repr(float(s))]
+        for uid, ti, s in zip(scores.unit_ids, scores.treated.tolist(), scores.mean_score)
     ]
     matches = "treated_id,control_id,distance\n" + "".join(
         f"{tid},{cid},{dist!r}\n" for tid, cid, dist in match.pairs)
@@ -248,7 +246,7 @@ def _panel_rows(panel: bdid.PanelDataset) -> list:
     ]
 
 
-def _fit_bdid(args, table: _Table):
+def _fit_bdid(args, table: _Table, priors: PriorSpec, cfg: SamplerConfig):
     periods = [p.strip().lower() for p in table.column(args.period_col)]
     bad = set(periods) - {"pre", "post"}
     if bad:
@@ -277,8 +275,7 @@ def _fit_bdid(args, table: _Table):
         y_post=np.array([u["post"][1] for u in units]),
         treated=np.array([bool(u["pre"][0]) for u in units]),
     )
-    priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scale=args.beta_scale)
-    posterior = bdid.fit_did(panel, priors, _sampler_config(args))
+    posterior = bdid.fit_did(panel, priors, cfg)
     ate = bdid.ate_did(posterior)
 
     # key order: pre_control, post_control, pre_treatment, post_treatment
@@ -315,17 +312,18 @@ def _rdd_rows(data: brdd.RddDataset) -> list:
     ]
 
 
-def _fit_brdd(args, table: _Table):
+def _fit_brdd(args, table: _Table, priors: PriorSpec, cfg: SamplerConfig):
     x = table.floats(args.assignment_col)
     y = table.floats(args.target)
     z = table.floats(args.z_col) if args.z_col else None
-    data = brdd.RddDataset(assignment=x, y=y, cutoff=args.cutoff, z=z)
     if args.z_filter:
         if z is None:
             raise SchemaError("--z-filter requires --z-col")
-        data = data.filtered(_parse_z_filter(args.z_filter, args.z_col)(data.z))
-        if not len(data.y):
+        keep = _parse_z_filter(args.z_filter, args.z_col)(z)
+        if not keep.any():
             raise SchemaError(f"--z-filter {args.z_filter!r} keeps no rows")
+        x, y, z = x[keep], y[keep], z[keep]
+    data = brdd.RddDataset(assignment=x, y=y, cutoff=args.cutoff, z=z)
     data.check_both_sides()  # the data's defect, before the bandwidth it would trip
     bandwidth = args.bandwidth
     if bandwidth is None:
@@ -333,8 +331,7 @@ def _fit_brdd(args, table: _Table):
     # before the fit, which takes most of a run, so a bad --bandwidth fails fast
     density = brdd.density_continuity_check(data.assignment, args.cutoff, bandwidth)
 
-    priors = PriorSpec(alpha_scale=args.alpha_scale, beta_scale=args.beta_scale)
-    posterior = brdd.fit_rdd(data, priors, _sampler_config(args))
+    posterior = brdd.fit_rdd(data, priors, cfg)
     ate = brdd.ate_rdd(posterior)
 
     report = {"density_continuity": density, "n_rows_fitted": len(data.y)}
@@ -355,7 +352,7 @@ _DESIGNS = {"bpsm": _fit_bpsm, "bdid": _fit_bdid, "brdd": _fit_brdd}
 
 def _cmd_fit(args) -> int:
     posterior, ate, report, plot_rows, extra_files = _DESIGNS[args.command](
-        args, _Table(args.data))
+        args, _Table(args.data), _spec(PriorSpec, args), _spec(SamplerConfig, args))
     draws = io.StringIO()  # one row per chain-iteration, one column per parameter
     np.savetxt(draws, posterior.draws.reshape(-1, len(posterior.param_names)),
                delimiter=",", header=",".join(posterior.param_names), comments="")
@@ -386,19 +383,8 @@ _SCENARIOS = {
 
 
 def _cmd_simulate(args) -> int:
-    spec = simulate.ScenarioSpec(
-        n_control=args.n_control,
-        n_treated=args.n_treated,
-        true_ate=args.true_ate,
-        confound_strength=args.confound_strength,
-        seasonal_amplitude=args.seasonal_amplitude,
-        cutoff=args.cutoff,
-        slope=args.slope,
-        noise_sd=args.noise_sd,
-        seed=args.seed,
-    )
     simulate_fn, rows, stem = _SCENARIOS[args.scenario]
-    data, truth = simulate_fn(spec)
+    data, truth = simulate_fn(_spec(simulate.ScenarioSpec, args))
     _write(args.out, {f"{stem}.csv": _csv(rows(data)),
                       f"{stem}_truth.json": _json({"scenario": args.scenario, **truth})})
     return 0
@@ -420,6 +406,19 @@ def _cmd_advise(args) -> int:
     return 0
 
 
+def _add_fields(parser, spec_type) -> None:
+    """One flag per field of the dataclass ``spec_type``, of its default's
+    type and with its default: ``noise_sd`` becomes ``--noise-sd``."""
+    for f in dataclasses.fields(spec_type):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                            default=f.default)
+
+
+def _spec(spec_type, args):
+    """The dataclass ``spec_type`` built from the flags `_add_fields` added."""
+    return spec_type(**{f.name: getattr(args, f.name) for f in dataclasses.fields(spec_type)})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boat", description="Bayesian causal models for observational software tests"
@@ -435,14 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--target", default="y")
         if command != "brdd":
             p.add_argument("--treatment-col", default="group")
-        p.add_argument("--draws", type=int, default=3000)
-        p.add_argument("--warmup", type=int, default=200)
-        p.add_argument("--chains", type=int, default=2)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--alpha-scale", type=float, default=1.0)
-        p.add_argument("--beta-scale", type=float, default=1.0)
+        _add_fields(p, SamplerConfig)
+        _add_fields(p, PriorSpec)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=_cmd_fit)
+        p.set_defaults(func=_cmd_fit, draws=3000)
 
     p = fit["bpsm"]
     p.add_argument("--covariates", required=True, help="comma-separated column names")
@@ -452,24 +447,17 @@ def build_parser() -> argparse.ArgumentParser:
     fit["bdid"].add_argument("--period-col", default="period")
 
     p = fit["brdd"]
+    p.set_defaults(**dataclasses.asdict(brdd.default_rdd_priors()))
     p.add_argument("--assignment-col", default="x")
     p.add_argument("--z-col", default=None)
     p.add_argument("--z-filter", default=None, help='e.g. "z>90"')
-    p.add_argument("--cutoff", type=float, default=60.0)
+    p.add_argument("--cutoff", type=float, default=simulate.ScenarioSpec.cutoff)
     p.add_argument("--bandwidth", type=float, default=None,
                    help="density-check window; default 10%% of the x range")
 
     p = sub.add_parser("simulate", help="generate a synthetic study with known truth")
     p.add_argument("--scenario", required=True, choices=list(_SCENARIOS))
-    p.add_argument("--n-control", type=int, default=200)
-    p.add_argument("--n-treated", type=int, default=40)
-    p.add_argument("--true-ate", type=float, default=-0.3)
-    p.add_argument("--confound-strength", type=float, default=0.0)
-    p.add_argument("--seasonal-amplitude", type=float, default=0.0)
-    p.add_argument("--cutoff", type=float, default=60.0)
-    p.add_argument("--slope", type=float, default=0.5)
-    p.add_argument("--noise-sd", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    _add_fields(p, simulate.ScenarioSpec)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

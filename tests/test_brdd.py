@@ -41,12 +41,6 @@ class TestDataset:
         d = RddDataset(assignment=[59.0, 60.0, 61.0], y=[0, 0, 0], cutoff=60.0)
         np.testing.assert_array_equal(d.t, [0, 1, 1])
 
-    def test_filtered_subsets(self):
-        d = make_data(n=50, with_z=True)
-        sub = d.filtered(d.z > 0.5)
-        assert len(sub.y) == int(np.sum(d.z > 0.5))
-        assert np.all(sub.z > 0.5)
-
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
             RddDataset(assignment=[1.0, 2.0], y=[0.0], cutoff=1.5)
@@ -103,7 +97,8 @@ class TestFitRdd:
 
     def test_one_sided_data_rejected(self):
         d = make_data(seed=3, n=40)
-        one_sided = d.filtered(d.assignment < d.cutoff)
+        left = d.assignment < d.cutoff
+        one_sided = RddDataset(assignment=d.assignment[left], y=d.y[left], cutoff=d.cutoff)
         with pytest.raises(EstimationError):
             fit_rdd(one_sided)
 

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from boat import bpsm, brdd
+from boat import bdid, bpsm, brdd, cli
 from boat.cli import (
     RECOMMEND_BDID,
     RECOMMEND_BPSM,
@@ -17,6 +18,9 @@ from boat.cli import (
     build_parser,
     main,
 )
+from boat.nuts import SamplerConfig
+from boat.prob_core import PriorSpec
+from boat.simulate import ScenarioSpec
 
 FAST = ["--draws", "400", "--warmup", "100", "--chains", "2", "--seed", "0"]
 
@@ -411,6 +415,18 @@ class TestBrddCommand:
         zs = [float(l.split(",")[3]) for l in data.read_text().splitlines()[1:]]
         assert report["n_rows_fitted"] == sum(z > 0.5 for z in zs)
 
+    def test_draws_equal_fit_rdd(self, tmp_path):
+        # the CLI fits under fit_rdd's own default prior, default_rdd_priors()
+        data = self.make_data(tmp_path)
+        out = tmp_path / "run"
+        assert main(["brdd", "--data", str(data), "--z-col", "z", "--out", str(out),
+                     *FAST]) == 0
+        _, x, y, z = np.loadtxt(data, delimiter=",", skiprows=1, unpack=True)
+        posterior = brdd.fit_rdd(brdd.RddDataset(assignment=x, y=y, cutoff=60.0, z=z),
+                                 cfg=SamplerConfig(draws=400, warmup=100, chains=2, seed=0))
+        got = np.loadtxt(out / "draws.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(got, posterior.draws.reshape(got.shape))
+
     def test_empty_left_density_window_is_strict_json(self, tmp_path):
         rng = np.random.default_rng(0)
         x = np.concatenate([rng.uniform(0, 40, 100), rng.uniform(60, 100, 100)])
@@ -635,7 +651,7 @@ class TestFitCommand:
             ("brdd",): {
                 "command": "brdd", "data": "d.csv", "target": "y", "assignment_col": "x",
                 "z_col": None, "z_filter": None, "cutoff": 60.0, "bandwidth": None,
-                **sampler},
+                **sampler, "beta_scale": 0.5},
         }
         for argv, want in expected.items():
             args = vars(build_parser().parse_args([*argv, "--data", "d.csv", "--out", "o"]))
@@ -649,3 +665,65 @@ class TestFitCommand:
                      ["brdd", "--data", "d.csv", "--out", "o", "--treatment-col", "g"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
+
+
+class TestFlagsMirrorSpecs:
+    """The fit and simulate flags are the fields of SamplerConfig, PriorSpec
+    and ScenarioSpec, with the library's defaults."""
+
+    FIT = {"bpsm": ["bpsm", "--covariates", "x1"], "bdid": ["bdid"], "brdd": ["brdd"]}
+
+    def fit_defaults(self, command):
+        return vars(build_parser().parse_args(
+            [*self.FIT[command], "--data", "d.csv", "--out", "o"]))
+
+    def test_simulate_defaults(self):
+        args = vars(build_parser().parse_args(["simulate", "--scenario", "cutoff_rdd",
+                                               "--out", "o"]))
+        want = dataclasses.asdict(ScenarioSpec())
+        assert {name: args[name] for name in want} == want
+
+    @pytest.mark.parametrize("command", ["bpsm", "bdid", "brdd"])
+    def test_fit_sampler_defaults(self, command):
+        args = self.fit_defaults(command)
+        want = {**dataclasses.asdict(SamplerConfig()), "draws": 3000}
+        assert {name: args[name] for name in want} == want
+
+    @pytest.mark.parametrize("command", ["bpsm", "bdid", "brdd"])
+    def test_fit_prior_defaults(self, command):
+        args = self.fit_defaults(command)
+        priors = brdd.default_rdd_priors() if command == "brdd" else PriorSpec()
+        want = dataclasses.asdict(priors)
+        assert {name: args[name] for name in want} == want
+
+    def test_simulate_passes_every_flag(self, tmp_path, monkeypatch):
+        specs = []
+        simulate_fn, rows, stem = cli._SCENARIOS["cutoff_rdd"]
+        monkeypatch.setitem(cli._SCENARIOS, "cutoff_rdd",
+                            (lambda spec: specs.append(spec) or simulate_fn(spec), rows, stem))
+        assert main(["simulate", "--scenario", "cutoff_rdd", "--n-control", "7",
+                     "--n-treated", "9", "--true-ate", "1.25", "--confound-strength", "0.75",
+                     "--seasonal-amplitude", "2.5", "--cutoff", "12.5", "--slope=-0.25",
+                     "--noise-sd", "1.5", "--seed", "42", "--out", str(tmp_path / "sim")]) == 0
+        assert specs == [ScenarioSpec(n_control=7, n_treated=9, true_ate=1.25,
+                                      confound_strength=0.75, seasonal_amplitude=2.5,
+                                      cutoff=12.5, slope=-0.25, noise_sd=1.5, seed=42)]
+
+    @pytest.mark.parametrize("module, fit", [(bpsm, "fit_propensity"), (bdid, "fit_did"),
+                                             (brdd, "fit_rdd")], ids=["bpsm", "bdid", "brdd"])
+    def test_fit_passes_every_flag(self, tmp_path, capsys, monkeypatch, module, fit):
+        calls = []
+
+        def stop(data, priors, cfg):
+            calls.append((priors, cfg))
+            raise ValueError("stop")
+
+        monkeypatch.setattr(module, fit, stop)
+        command = module.__name__.rpartition(".")[2]
+        data = TestFitCommand.MAKE_DATA[command]().make_data(tmp_path)
+        assert main([*self.FIT[command], "--data", str(data), "--draws", "50", "--warmup",
+                     "20", "--chains", "3", "--seed", "7", "--alpha-scale", "2.5",
+                     "--beta-scale", "0.25", "--out", str(tmp_path / "o")]) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == "stop"
+        assert calls == [(PriorSpec(alpha_scale=2.5, beta_scale=0.25),
+                          SamplerConfig(draws=50, warmup=20, chains=3, seed=7))]
