@@ -9,15 +9,15 @@ Greedy matching goes through treated units by descending score, ties to
 the lower unit id, and gives each the unused control at the smallest
 float64 ``abs(s_t - s_c)``, equal distances to the lower control id; with
 a caliper, a unit whose nearest control lies beyond it stays unmatched.
-The controls are sorted once and each treated score is bisected into
-them, with path-compressed "next available" links skipping used controls,
-so a matching takes O((n_t + n_c) log n_c) time, not O(n_t n_c).
+The unused controls are kept sorted by score and each treated score is
+bisected into them: O(log n_c) bisects per treated unit, plus one list
+deletion per pair, which moves at most n_c pointers.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,37 +129,22 @@ def propensity_scores(
     )
 
 
-def _find(links, k):
-    """Root of ``k`` in a "next available" forest, halving the path walked."""
-    while links[k] != k:
-        links[k] = links[links[k]]
-        k = links[k]
-    return k
-
-
 def _greedy_match(scores: PropensityScores, caliper: float | None):
     """Greedy nearest-control matching without replacement.
 
-    Treated units are processed in descending score order, ties to the
-    lower unit id. Each takes the unused control at the smallest
-    ``abs(s_t - s_c)`` as rounded in float64; equal distances go to the
-    lower control id, whether the tie is between a control on each side
-    or between same-side scores whose rounded distances coincide. With a
-    caliper, a treated unit whose nearest control lies beyond it stays
-    unmatched and no farther control is tried.
+    Treated units go in descending score order, ties to the lower unit id.
+    Each takes the unused control at the smallest ``abs(s_t - s_c)`` as
+    rounded in float64; equal distances go to the lower control id, whether
+    the tie is between a control on each side or between same-side scores
+    whose rounded distances coincide. With a caliper, a treated unit whose
+    nearest control lies beyond it stays unmatched.
 
-    The controls are sorted by (score, unit id) once, so every run of
-    equal scores is ordered by id. Two path-compressed link arrays
-    (Tarjan, JACM 22:215, 1975) find the next unused control at or right
-    of a sorted position and at or left of it; using a control links past
-    it. A treated score is bisected into the order: the first unused
-    control at or right of it is the lowest-id one of its run, and the
-    lowest-id unused control of the nearest run on the left is found by
-    jumping to that run's start, so runs of tied scores are never walked.
-    Further runs are visited only while their rounded distance equals the
-    nearest one. That makes O((n_t + n_c) log n_c) time, for n_t treated
-    and n_c controls, plus one step per extra run at a tied distance,
-    which needs scores within a rounding unit of each other.
+    The unused controls stay sorted by (score, unit id), so each run of
+    equal scores starts at its lowest id. Bisecting a treated score finds
+    the nearest run on the right, and a second bisect jumps to the start of
+    the nearest run on the left; further runs are visited only while their
+    rounded distance stays equal. That is O(log n_c) bisects per treated
+    unit, plus one list deletion per pair, which moves at most n_c pointers.
     """
     treated_idx = np.where(scores.treated)[0]
     control_idx = np.where(~scores.treated)[0]
@@ -169,53 +154,38 @@ def _greedy_match(scores: PropensityScores, caliper: float | None):
     ids = scores.unit_ids
     score = scores.mean_score.tolist()
     uid = ids.tolist()
+    # the unused controls sorted by (score, unit id): positions, scores, ids
     controls = sorted(control_idx.tolist(), key=lambda j: (score[j], uid[j]))
-    c_score = [score[j] for j in controls]
-    c_uid = [uid[j] for j in controls]
-    n = len(controls)
-    # [run_start[k], run_end[k]) is the run of scores equal to c_score[k]
-    run_start, run_end = [0] * n, [n] * n
-    for k in range(1, n):
-        run_start[k] = run_start[k - 1] if c_score[k] == c_score[k - 1] else k
-    for k in range(n - 2, -1, -1):
-        run_end[k] = run_end[k + 1] if c_score[k] == c_score[k + 1] else k + 1
-    # _find(right, k): first unused position >= k, or n.
-    # _find(left, k + 1) - 1: last unused position <= k, or -1.
-    right = list(range(n + 1))
-    left = list(range(n + 1))
+    cs = [score[j] for j in controls]
+    cu = [uid[j] for j in controls]
 
     order = sorted(treated_idx.tolist(), key=lambda i: (-score[i], uid[i]))
     pairs, unmatched = [], []
     for i in order:
         s = score[i]
-        pos = bisect_left(c_score, s)  # a run start: c_score[pos - 1] < s
+        pos = bisect_left(cs, s)  # cs[pos - 1] < s <= cs[pos]
         best = dist = None
-        k = _find(right, pos)
-        if k < n:
-            best, dist = k, abs(s - c_score[k])
-            k = _find(right, run_end[k])
-            while k < n and abs(s - c_score[k]) == dist:
-                if c_uid[k] < c_uid[best]:
+        if pos < len(cs):
+            best, dist = pos, abs(s - cs[pos])
+            k = bisect_right(cs, cs[pos], pos)
+            while k < len(cs) and abs(s - cs[k]) == dist:
+                if cu[k] < cu[best]:
                     best = k
-                k = _find(right, run_end[k])
-        k = _find(left, pos) - 1
-        if k >= 0 and (best is None or abs(s - c_score[k]) <= dist):
-            d = abs(s - c_score[k])
-            cand = _find(right, run_start[k])
-            k = _find(left, run_start[k]) - 1
-            while k >= 0 and abs(s - c_score[k]) == d:
-                lowest = _find(right, run_start[k])
-                if c_uid[lowest] < c_uid[cand]:
-                    cand = lowest
-                k = _find(left, run_start[k]) - 1
-            if best is None or d < dist or c_uid[cand] < c_uid[best]:
+                k = bisect_right(cs, cs[k], k)
+        if pos > 0 and (best is None or abs(s - cs[pos - 1]) <= dist):
+            d = abs(s - cs[pos - 1])
+            k = cand = bisect_left(cs, cs[pos - 1], 0, pos)
+            while k > 0 and abs(s - cs[k - 1]) == d:
+                k = bisect_left(cs, cs[k - 1], 0, k)
+                if cu[k] < cu[cand]:
+                    cand = k
+            if best is None or d < dist or cu[cand] < cu[best]:
                 best, dist = cand, d
         if best is None or (caliper is not None and dist > caliper):
             unmatched.append(ids[i])
             continue
-        right[best] = best + 1
-        left[best + 1] = best
         pairs.append((ids[i], ids[controls[best]], dist))
+        del controls[best], cs[best], cu[best]
     return pairs, unmatched
 
 
@@ -284,19 +254,12 @@ def positivity_check(scores: PropensityScores) -> dict:
     bins = POSITIVITY_BINS
     edges = np.linspace(0.0, 1.0, bins + 1)
     which = np.clip(np.digitize(scores.mean_score, edges) - 1, 0, bins - 1)
-    violating = []
-    overlap_units = 0
-    for b in range(bins):
-        in_bin = which == b
-        n_t = int(np.sum(in_bin & scores.treated))
-        n_c = int(np.sum(in_bin & ~scores.treated))
-        if (n_t == 0) != (n_c == 0):
-            violating.append(b)
-        if n_t > 0 and n_c > 0:
-            overlap_units += n_t + n_c
+    n_t = np.bincount(which[scores.treated], minlength=bins)
+    n_c = np.bincount(which[~scores.treated], minlength=bins)
+    overlap_units = int(np.sum((n_t + n_c)[(n_t > 0) & (n_c > 0)]))
     total = len(scores.mean_score)
     return {
-        "violating_bins": violating,
+        "violating_bins": np.flatnonzero((n_t > 0) != (n_c > 0)).tolist(),
         "overlap_fraction": overlap_units / total if total else 0.0,
         "bins": bins,
     }

@@ -29,6 +29,7 @@ __all__ = [
 
 N_COVARIATES = 2  # confounded_psm's covariates x1, x2, ...
 Z_COEF = 0.5  # cutoff_rdd's coefficient on z
+MIXED_TRIES = 1000  # confounded_psm's draws of t before it gives up
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,14 @@ def simulate_confounded(spec: ScenarioSpec) -> tuple[DesignMatrix, dict]:
     share = spec.n_treated / n
     alpha = np.log(share / (1.0 - share)) - spec.confound_strength * 0.5
     propensity = sigmoid(alpha + spec.confound_strength * X[:, 0])
-    t = None
-    for _ in range(1000):
-        cand = (rng.uniform(size=n) < propensity).astype(int)
-        if cand.any() and not cand.all():
-            t = cand
+    for _ in range(MIXED_TRIES):
+        t = (rng.uniform(size=n) < propensity).astype(int)
+        if t.any() and not t.all():
             break
-    if t is None:
-        raise RuntimeError("could not draw a mixed treatment assignment")
+    else:
+        raise ValueError(f"could not draw a mixed treatment assignment in {MIXED_TRIES} tries at "
+                         f"n_control={spec.n_control}, n_treated={spec.n_treated}, "
+                         f"confound_strength={spec.confound_strength!r}, seed={spec.seed}")
     baseline = spec.confound_strength * X[:, 0]
     y = baseline + spec.true_ate * t + rng.normal(0.0, spec.noise_sd, size=n)
     data = DesignMatrix(

@@ -77,6 +77,12 @@ class TestCaliperMatch:
         assert m.pairs == []
         assert m.unmatched_treated == [0]
 
+    def test_distance_equal_to_caliper_is_matched(self):
+        # 0.5 - 0.25 is exactly 0.25: only a distance beyond the caliper excludes
+        m = caliper_match(make_scores([0.5], [0.25]), 0.25)
+        assert m.pairs == [(0, 1, 0.25)]
+        assert m.unmatched_treated == []
+
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(10)
         for _ in range(50):

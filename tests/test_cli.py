@@ -146,6 +146,20 @@ class TestSimulateCommand:
         assert err["message"] == f"{field} must be finite, got {float(value)!r}"
         assert not out.exists()
 
+    def test_unmixable_assignment_errors(self, tmp_path, capsys):
+        # a propensity of ~0 or ~1 for every unit: no draw of t holds both groups
+        out = tmp_path / "sim"
+        code = main(["simulate", "--scenario", "confounded_psm", "--n-control", "2",
+                     "--n-treated", "2", "--confound-strength", "1e6", "--seed", "4",
+                     "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"] == (
+            "could not draw a mixed treatment assignment in 1000 tries at n_control=2, "
+            "n_treated=2, confound_strength=1000000.0, seed=4")
+        assert not out.exists()
+
 
 class TestBpsmCommand:
     def make_data(self, tmp_path):

@@ -12,6 +12,9 @@ Each line is ``name sha256``, one for:
   failure path: the TripTable columns, the rejects, the discards, the
   vehicle aggregates and ``build_design``'s X, t and y for both target
   specs, read in blocks of the default size and of 7 rows.
+- ``nn_match_1to1`` and ``caliper_match`` (calipers 0.05 and 0.55) at
+  fleet size, 300 treated and 700 controls, on seeded scores that tie
+  often, with shuffled int ids and with string ids.
 
 Run it on two checkouts and compare the outputs:
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from boat import pipeline, simulate
 from boat.bdid import fit_did
-from boat.bpsm import fit_propensity
+from boat.bpsm import PropensityScores, caliper_match, fit_propensity, nn_match_1to1
 from boat.brdd import fit_rdd
 from boat.cli import main
 from boat.nuts import SamplerConfig, Target, sample
@@ -207,9 +210,41 @@ def trips():
                 emit(f"{name}/{spec}/design/{part}", getattr(design, part).tobytes())
 
 
+def tie_pool():
+    """Seven scores and the two floats on each side of each: equal scores,
+    a control on each side at one distance and distinct scores at one
+    rounded distance all occur."""
+    pool = []
+    for v in (0.06, 0.1, 0.2, 0.25, 0.5, 0.75, 0.9):
+        below, above = np.nextafter(v, 0.0), np.nextafter(v, 1.0)
+        pool += [np.nextafter(below, 0.0), below, v, above, np.nextafter(above, 1.0)]
+    return np.array(pool)
+
+
+def matchings():
+    rng = np.random.default_rng(25)
+    n_treated, n_control = 300, 700
+    pool = tie_pool()
+    # treated lean to high scores and controls to low ones, so that the nearest
+    # control is often far and the calipers leave units unmatched
+    score = np.concatenate([rng.choice(pool, n_treated, p=pool**2 / np.sum(pool**2)),
+                            rng.choice(pool, n_control, p=(1 - pool)**2 / np.sum((1 - pool)**2))])
+    treated = np.arange(n_treated + n_control) < n_treated
+    int_ids = rng.permutation(n_treated + n_control)
+    for kind, ids in (("int", int_ids), ("str", np.array([f"u{i}" for i in int_ids]))):
+        scores = PropensityScores(unit_ids=ids, mean_score=score, treated=treated)
+        for name, match in (("nn", nn_match_1to1(scores)),
+                            ("caliper0.05", caliper_match(scores, 0.05)),
+                            ("caliper0.55", caliper_match(scores, 0.55))):
+            emit(f"match/{kind}/{name}", json.dumps({
+                "pairs": [[t.item(), c.item(), d] for t, c, d in match.pairs],
+                "unmatched": [u.item() for u in match.unmatched_treated]}).encode())
+
+
 if __name__ == "__main__":
     fits()
     targets()
     with tempfile.TemporaryDirectory() as tmp:
         cli(Path(tmp))
     trips()
+    matchings()
